@@ -422,6 +422,30 @@ mod tests {
         assert!(measure_compatibilities(&g, &l).is_err());
     }
 
+    /// Under class imbalance the measured `H` is row-normalized but not symmetric.
+    /// Its eigenvalues are still real (`H = D⁻¹M` with `M` symmetric), and centering
+    /// maps the eigenvalue 1 to 0 while keeping the others, so `ρ(H̃) = max |λ₂|, |λ₃|`.
+    #[test]
+    fn centered_measured_matrix_radius_under_class_imbalance() {
+        let mut cfg = GeneratorConfig::balanced(3000, 10.0, 3, 3.0).unwrap();
+        cfg.alpha = vec![0.1, 0.3, 0.6];
+        let syn = generate(&cfg, &mut StdRng::seed_from_u64(5)).unwrap();
+        let h = measure_compatibilities(&syn.graph, &syn.labeling).unwrap();
+        assert!(!h.is_symmetric(1e-3), "{h:?}");
+
+        // λ₂ + λ₃ = tr H − 1 and λ₂·λ₃ = det H.
+        let g = |i, j| h.get(i, j);
+        let det = g(0, 0) * (g(1, 1) * g(2, 2) - g(1, 2) * g(2, 1))
+            - g(0, 1) * (g(1, 0) * g(2, 2) - g(1, 2) * g(2, 0))
+            + g(0, 2) * (g(1, 0) * g(2, 1) - g(1, 1) * g(2, 0));
+        let sum = h.trace().unwrap() - 1.0;
+        let disc = (sum * sum - 4.0 * det).sqrt();
+        let expected = ((sum + disc) / 2.0).abs().max(((sum - disc) / 2.0).abs());
+
+        let rho = fg_sparse::spectral_radius_dense(&h.centered(), 1000, 1e-10).unwrap();
+        assert!((rho - expected).abs() < 1e-9, "got {rho}, want {expected}");
+    }
+
     #[test]
     fn measured_matrix_rows_sum_to_one() {
         let cfg = GeneratorConfig::balanced(500, 10.0, 4, 5.0).unwrap();

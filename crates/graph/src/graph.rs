@@ -271,6 +271,40 @@ mod tests {
         assert!((g.spectral_radius().unwrap() - 2.0).abs() < 1e-6);
     }
 
+    /// On a power-law graph the hubs' eigenvalues nearly tie, which is where a
+    /// truncated power iteration stops short; the Lanczos estimate must match a long
+    /// power-iteration reference.
+    #[test]
+    fn spectral_radius_of_power_law_graph_matches_long_power_iteration() {
+        use crate::generator::{generate, GeneratorConfig};
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let cfg = GeneratorConfig::balanced(20000, 10.0, 3, 8.0).unwrap();
+        let g = generate(&cfg, &mut StdRng::seed_from_u64(1)).unwrap().graph;
+        // Reference: ‖W·v‖ after a fixed, generous number of power steps, checked to
+        // have stopped moving.
+        let mut v: Vec<f64> = (0..g.num_nodes()).map(|i| 1.0 + (i % 3) as f64).collect();
+        let mut reference = 0.0;
+        let mut settled = f64::INFINITY;
+        for _ in 0..600 {
+            let next = g.adjacency().spmv(&v).unwrap();
+            let norm = next.iter().map(|x| x * x).sum::<f64>().sqrt();
+            let prev_norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+            let estimate = norm / prev_norm;
+            settled = (estimate - reference).abs() / estimate;
+            reference = estimate;
+            v = next.iter().map(|x| x / norm).collect();
+        }
+        assert!(settled < 1e-14, "reference still moving by {settled:e}");
+
+        let rho = g.spectral_radius().unwrap();
+        let rel = (rho - reference).abs() / reference;
+        assert!(
+            rel < 1e-9,
+            "Lanczos {rho} vs reference {reference}: {rel:e}"
+        );
+    }
+
     #[test]
     fn isolated_nodes_counted() {
         let g = Graph::from_edges(5, &[(0, 1)]).unwrap();

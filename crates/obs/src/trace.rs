@@ -141,6 +141,19 @@ impl Span {
         Span::enter_recording(name, args.to_vec())
     }
 
+    /// Set argument `key` on an open span, for values only known once its scope
+    /// has done the work (an iteration count, a convergence flag). A key already
+    /// present is overwritten. No-op on an inert span.
+    pub fn record(&mut self, key: &'static str, value: u64) {
+        let Some(active) = self.0.as_mut() else {
+            return;
+        };
+        match active.args.iter_mut().find(|(k, _)| *k == key) {
+            Some(slot) => slot.1 = value,
+            None => active.args.push((key, value)),
+        }
+    }
+
     fn enter_recording(name: &'static str, args: Vec<(&'static str, u64)>) -> Span {
         let depth = THREAD_DEPTH.with(|d| {
             let depth = d.get();
@@ -353,6 +366,28 @@ mod tests {
         assert!(json.contains("\"rows\":128"));
         assert!(json.contains("\"nnz\":4096"));
         assert!(json.ends_with("]}"));
+    }
+
+    #[test]
+    fn recorded_args_reach_chrome_json() {
+        let _guard = TEST_LOCK.lock().unwrap();
+        let mut inert = Span::enter("never");
+        inert.record("iterations", 1);
+        drop(inert);
+        start_capture();
+        {
+            let mut span = Span::enter_with("spectral_radius", &[("rows", 10)]);
+            span.record("iterations", 24);
+            span.record("converged", 0);
+            span.record("converged", 1);
+        }
+        let trace = finish_capture();
+        assert_eq!(
+            trace.records[0].args,
+            vec![("rows", 10), ("iterations", 24), ("converged", 1)]
+        );
+        let json = trace.chrome_json();
+        assert!(json.contains("\"args\":{\"rows\":10,\"iterations\":24,\"converged\":1,"));
     }
 
     #[test]

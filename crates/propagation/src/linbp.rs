@@ -16,6 +16,7 @@
 
 use crate::metrics;
 use fg_graph::{Graph, GraphError, Labeling, Result, SeedLabels};
+use fg_obs::Span;
 use fg_sparse::{spectral_radius_dense, DenseMatrix, Threads};
 
 /// How aggressively to scale the compatibility matrix relative to the convergence
@@ -86,6 +87,7 @@ impl PropagationResult {
 /// for degenerate graphs with no edges or an exactly uniform compatibility matrix; in
 /// both cases propagation is a no-op so any finite scaling works.
 pub fn convergence_epsilon(graph: &Graph, h: &DenseMatrix, fraction: f64) -> Result<f64> {
+    let _span = Span::enter("epsilon");
     let rho_w = graph.spectral_radius()?;
     let h_centered = h.centered();
     let rho_h = spectral_radius_dense(&h_centered, 1000, 1e-10).map_err(GraphError::Sparse)?;

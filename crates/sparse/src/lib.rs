@@ -17,8 +17,8 @@
 //! * [`parallel`] — a thread-parallel execution layer for the hot kernels
 //!   (`spmm_dense`, `spmv`, Gustavson `spmm`), hand-rolled on [`std::thread::scope`]
 //!   with a [`Threads`] policy and bit-identical output to the serial paths.
-//! * [`spectral`] — power-iteration spectral-radius estimates used for LinBP's
-//!   convergence scaling (Eq. 2).
+//! * [`spectral`] — spectral-radius estimates (Lanczos for `W`, repeated squaring
+//!   for the possibly non-symmetric `H̃`) used for LinBP's convergence scaling (Eq. 2).
 //! * [`eigen`] — a dependency-free symmetric eigensolver (blocked subspace
 //!   iteration + Rayleigh–Ritz, deterministic seeded start) powering the
 //!   low-rank `V·Λ·Vᵀ` counting backend.
