@@ -539,52 +539,38 @@ pub fn cmd_cache(args: &ArgMap) -> CommandResult {
                 if entries.len() == 1 { "" } else { "s" }
             )];
             for entry in entries {
-                if let Some(meta) = entry.meta {
-                    out.push(format!(
-                        "  {}  k={} lmax={} mode={} graph={}.. seeds={}.. ({} bytes)",
-                        entry.file,
+                let what = match entry.meta {
+                    Some(EntryMeta::Summary(meta)) => format!(
+                        "k={} lmax={} mode={} graph={}.. seeds={}..",
                         meta.k,
                         meta.max_length,
                         if meta.non_backtracking { "nb" } else { "all" },
                         &meta.graph_fp.to_hex()[..12],
                         &meta.seed_fp.to_hex()[..12],
-                        entry.bytes
-                    ));
-                } else if let Some(meta) = entry.h_meta {
-                    out.push(format!(
-                        "  {}  H estimate k={} estimator={} graph={}.. seeds={}.. ({} bytes)",
-                        entry.file,
+                    ),
+                    Some(EntryMeta::H(meta)) => format!(
+                        "H estimate k={} estimator={} graph={}.. seeds={}..",
                         meta.k,
                         meta.estimator,
                         &meta.graph_fp.to_hex()[..12],
                         &meta.seed_fp.to_hex()[..12],
-                        entry.bytes
-                    ));
-                } else if let Some(meta) = entry.graph_meta {
-                    out.push(format!(
-                        "  {}  constructed graph nodes={} edges={} builder={} features={}.. ({} bytes)",
-                        entry.file,
+                    ),
+                    Some(EntryMeta::Graph(meta)) => format!(
+                        "constructed graph nodes={} edges={} builder={} features={}..",
                         meta.nodes,
                         meta.edges,
                         meta.builder,
                         &meta.features_fp.to_hex()[..12],
-                        entry.bytes
-                    ));
-                } else if let Some(meta) = entry.factor_meta {
-                    out.push(format!(
-                        "  {}  low-rank factor rank={} nodes={} graph={}.. ({} bytes)",
-                        entry.file,
+                    ),
+                    Some(EntryMeta::Factor(meta)) => format!(
+                        "low-rank factor rank={} nodes={} graph={}..",
                         meta.rank,
                         meta.nodes,
                         &meta.graph_fp.to_hex()[..12],
-                        entry.bytes
-                    ));
-                } else {
-                    out.push(format!(
-                        "  {}  CORRUPT or unreadable ({} bytes)",
-                        entry.file, entry.bytes
-                    ));
-                }
+                    ),
+                    None => "CORRUPT or unreadable".to_string(),
+                };
+                out.push(format!("  {}  {what} ({} bytes)", entry.file, entry.bytes));
             }
             Ok(out.join("\n"))
         }
@@ -652,36 +638,40 @@ fn cache_entries_json(store: &SummaryStore, entries: Vec<fg_core::StoreEntry>) -
                     },
                 ),
             ];
-            if let Some(meta) = entry.meta {
-                fields.push(("kind", Json::str("summary")));
-                fields.push(("k", Json::num(meta.k)));
-                fields.push(("lmax", Json::num(meta.max_length)));
-                fields.push((
-                    "mode",
-                    Json::str(if meta.non_backtracking { "nb" } else { "all" }),
-                ));
-                fields.push(("graph_fingerprint", Json::str(meta.graph_fp.to_hex())));
-                fields.push(("seed_fingerprint", Json::str(meta.seed_fp.to_hex())));
-            } else if let Some(meta) = entry.h_meta {
-                fields.push(("kind", Json::str("h")));
-                fields.push(("k", Json::num(meta.k)));
-                fields.push(("estimator", Json::str(meta.estimator)));
-                fields.push(("graph_fingerprint", Json::str(meta.graph_fp.to_hex())));
-                fields.push(("seed_fingerprint", Json::str(meta.seed_fp.to_hex())));
-            } else if let Some(meta) = entry.graph_meta {
-                fields.push(("kind", Json::str("graph")));
-                fields.push(("nodes", Json::num(meta.nodes)));
-                fields.push(("edges", Json::num(meta.edges)));
-                fields.push(("builder", Json::str(meta.builder)));
-                fields.push(("features_fingerprint", Json::str(meta.features_fp.to_hex())));
-            } else if let Some(meta) = entry.factor_meta {
-                fields.push(("kind", Json::str("factor")));
-                fields.push(("rank", Json::num(meta.rank)));
-                fields.push(("nodes", Json::num(meta.nodes)));
-                fields.push(("graph_fingerprint", Json::str(meta.graph_fp.to_hex())));
-            } else {
-                fields.push(("kind", Json::str("corrupt")));
-            }
+            fields.extend(match entry.meta {
+                Some(EntryMeta::Summary(meta)) => vec![
+                    ("kind", Json::str("summary")),
+                    ("k", Json::num(meta.k)),
+                    ("lmax", Json::num(meta.max_length)),
+                    (
+                        "mode",
+                        Json::str(if meta.non_backtracking { "nb" } else { "all" }),
+                    ),
+                    ("graph_fingerprint", Json::str(meta.graph_fp.to_hex())),
+                    ("seed_fingerprint", Json::str(meta.seed_fp.to_hex())),
+                ],
+                Some(EntryMeta::H(meta)) => vec![
+                    ("kind", Json::str("h")),
+                    ("k", Json::num(meta.k)),
+                    ("estimator", Json::str(meta.estimator)),
+                    ("graph_fingerprint", Json::str(meta.graph_fp.to_hex())),
+                    ("seed_fingerprint", Json::str(meta.seed_fp.to_hex())),
+                ],
+                Some(EntryMeta::Graph(meta)) => vec![
+                    ("kind", Json::str("graph")),
+                    ("nodes", Json::num(meta.nodes)),
+                    ("edges", Json::num(meta.edges)),
+                    ("builder", Json::str(meta.builder)),
+                    ("features_fingerprint", Json::str(meta.features_fp.to_hex())),
+                ],
+                Some(EntryMeta::Factor(meta)) => vec![
+                    ("kind", Json::str("factor")),
+                    ("rank", Json::num(meta.rank)),
+                    ("nodes", Json::num(meta.nodes)),
+                    ("graph_fingerprint", Json::str(meta.graph_fp.to_hex())),
+                ],
+                None => vec![("kind", Json::str("corrupt"))],
+            });
             Json::obj(fields)
         })
         .collect();

@@ -118,8 +118,8 @@ pub use paths::{
 };
 pub use pipeline::{Pipeline, PipelineReport};
 pub use store::{
-    FactorStoreMeta, GcOutcome, GraphStoreMeta, HStoreMeta, StoreEntry, StoreMeta, StoredCounts,
-    SummaryStore,
+    EntryMeta, FactorStoreMeta, GcOutcome, GraphStoreMeta, HStoreMeta, StoreEntry, StoreMeta,
+    StoredCounts, SummaryStore,
 };
 
 /// Convenience re-exports covering the most common end-to-end usage: graph generation,
@@ -136,7 +136,7 @@ pub mod prelude {
     pub use crate::normalization::NormalizationVariant;
     pub use crate::paths::{summarize, summarize_with, CountingBackend, SummaryConfig};
     pub use crate::pipeline::{Pipeline, PipelineReport};
-    pub use crate::store::SummaryStore;
+    pub use crate::store::{EntryMeta, SummaryStore};
     pub use fg_graph::{
         generate, measure_compatibilities, CompatibilityMatrix, DegreeDistribution, Fingerprint,
         GeneratorConfig, Graph, Labeling, SeedLabels,

@@ -1,18 +1,31 @@
 //! Persistent, content-addressed storage for factorized graph summaries.
 //!
-//! The raw path-count matrices (`k x k` per length, ℓmax of them) are tiny compared
-//! to the `O(m·k·ℓmax)` work of computing them, so the [`SummaryStore`] persists them
-//! to disk keyed by the *content* of their inputs — the
-//! [`Fingerprint`]s of the graph and seed set plus the counting mode. A second
-//! process (or a later `fg` invocation) that loads the same dataset recomputes the
-//! fingerprints, finds the file, and skips summarization entirely; the
+//! The raw path-count matrices (`k x k` per length, ℓmax of them) are tiny next to
+//! the `O(m·k·ℓmax)` work of computing them, so the [`SummaryStore`] persists them
+//! keyed by the *content* of their inputs: the [`Fingerprint`]s of the graph and
+//! seed set plus the counting mode. A later process that loads the same dataset
+//! finds the file and skips summarization; the
 //! [`EstimationContext`](crate::EstimationContext) uses the store as a
 //! read-through / write-back tier below its in-memory cache.
+//!
+//! # Record frame
+//!
+//! Every store file is one record. All four record kinds below share one frame,
+//! with every integer and float little-endian:
+//!
+//! | part             | size        | content                                             |
+//! |------------------|-------------|-----------------------------------------------------|
+//! | magic            | 6 bytes     | the kind: `FGSUMM`, `FGHEST`, `FGGRPH` or `FGVFAC`  |
+//! | version          | `u16`       | `1` for every kind                                  |
+//! | key fingerprints | `u128` each | the content fingerprints the record is keyed by     |
+//! | typed header     | per kind    | fixed-width counts and parameters                   |
+//! | payload          | per kind    | embedded names, then data with exact `f64` bits     |
+//! | checksum         | `u128`      | hash of every preceding byte, one domain per kind   |
 //!
 //! # File format (version 1)
 //!
 //! One file per `(graph, seeds, counting mode)` triple, named
-//! `<graph_fp>-<seed_fp>-<nb|all>.fgsum`, all integers and floats little-endian:
+//! `<graph_fp>-<seed_fp>-<nb|all>.fgsum`:
 //!
 //! | field      | size          | content                                          |
 //! |------------|---------------|--------------------------------------------------|
@@ -54,13 +67,12 @@
 //!
 //! # Constructed-graph entries (version 1)
 //!
-//! Finally, the store persists *constructed* graphs so warm `fg construct` runs skip
-//! the `O(n²·d)` build. One `.fgg` file per `(feature matrix, builder spec)` pair,
-//! named `<features_fp>-<spec digest>.fgg`: magic `FGGRPH`, version, the feature
-//! matrix's content fingerprint, the embedded builder spec, node/edge counts, the
-//! sorted weighted edge list with exact `f64` weight bit patterns, and a
-//! domain-separated checksum. A loaded graph has the same content fingerprint as
-//! the freshly built one.
+//! The store persists *constructed* graphs so warm `fg construct` runs skip the
+//! `O(n²·d)` build. One `.fgg` file per `(feature matrix, builder spec)` pair, named
+//! `<features_fp>-<spec digest>.fgg`: magic `FGGRPH`, version, the features
+//! fingerprint, the spec's byte length (`u32`), node and edge counts (`u64` each),
+//! the spec, the sorted edges as `(u64, u64, f64)` triples with exact weight bits,
+//! and a checksum. A loaded graph has the built graph's content fingerprint.
 //!
 //! # Low-rank factor entries (version 1)
 //!
@@ -99,58 +111,51 @@
 //! loudly*: [`SummaryStore::load`] returns [`CoreError::Store`] instead of silently
 //! serving bad data. The [`EstimationContext`](crate::EstimationContext) reacts by
 //! warning on stderr, recomputing from scratch, and overwriting the bad file — a
-//! damaged cache can cost time, never correctness.
+//! damaged cache can cost time, never correctness. Sizes read from a header are
+//! checked against the bytes present, so a hostile header is rejected without a
+//! panic or an allocation larger than the file; a constructed graph's node count,
+//! which no payload pins, is capped at 8 nodes per byte of its spec and edges.
 
 use crate::error::{CoreError, Result};
 use fg_graph::{factor_fingerprint, FactorConfig, Fingerprint, FingerprintBuilder, LowRankFactor};
 use fg_sparse::DenseMatrix;
 use std::fs;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 
-/// File-format magic bytes.
-const MAGIC: &[u8; 6] = b"FGSUMM";
 /// Current file-format version.
 pub const STORE_FORMAT_VERSION: u16 = 1;
 /// File extension used by the store.
 pub const STORE_EXTENSION: &str = "fgsum";
-/// Magic bytes of a persisted *estimated compatibility matrix* (`H`) entry.
-const H_MAGIC: &[u8; 6] = b"FGHEST";
 /// Current `H`-entry format version.
 pub const H_STORE_FORMAT_VERSION: u16 = 1;
 /// File extension used by persisted `H` estimates.
 pub const H_STORE_EXTENSION: &str = "fgh";
-/// Magic bytes of a persisted *constructed graph* entry.
-const G_MAGIC: &[u8; 6] = b"FGGRPH";
 /// Current constructed-graph entry format version.
 pub const GRAPH_STORE_FORMAT_VERSION: u16 = 1;
 /// File extension used by persisted constructed graphs.
 pub const GRAPH_STORE_EXTENSION: &str = "fgg";
-/// Magic bytes of a persisted *low-rank factor* entry.
-const V_MAGIC: &[u8; 6] = b"FGVFAC";
 /// Current low-rank factor entry format version.
 pub const FACTOR_STORE_FORMAT_VERSION: u16 = 1;
 /// File extension used by persisted low-rank factors.
 pub const FACTOR_STORE_EXTENSION: &str = "fgv";
-/// Fixed header size: magic + version + two fingerprints + mode + k + lmax.
-const HEADER_LEN: usize = 6 + 2 + 16 + 16 + 1 + 4 + 4;
-/// Fixed `H`-entry header size: magic + version + two fingerprints + name length +
-/// k (the variable-length estimator name follows the fixed part).
-const H_HEADER_LEN: usize = 6 + 2 + 16 + 16 + 4 + 4;
-/// Fixed constructed-graph header size: magic + version + features fingerprint +
-/// builder-name length + node count + edge count (the variable-length builder name
-/// follows the fixed part).
-const G_HEADER_LEN: usize = 6 + 2 + 16 + 4 + 8 + 8;
-/// Fixed low-rank factor header size: magic + version + two fingerprints + rank +
-/// max_iter + tol + seed + node count + iteration count.
-const V_HEADER_LEN: usize = 6 + 2 + 16 + 16 + 4 + 8 + 8 + 8 + 8 + 8;
+/// Most nodes a constructed-graph record may declare per byte of its builder spec
+/// and edge list: it rejects only graphs with an average degree below about 1/100.
+const MAX_NODES_PER_GRAPH_BYTE: usize = 8;
 /// Trailing checksum size.
 const CHECKSUM_LEN: usize = 16;
-/// Per-process counter disambiguating concurrent temp-file writes (see
-/// [`SummaryStore::save`]).
+const LENGTH_MISMATCH: &str = "payload length disagrees with header";
+const OVERFLOW: &str = "header sizes overflow";
+/// Per-process counter that makes temp-file names unique (see [`Encoder::write`]).
 static TMP_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// A directory of persisted graph summaries (see the [module docs](self) for the
 /// format and failure policy).
+///
+/// Every `load*` method returns `Ok(None)` when no file exists, the bit-exact
+/// stored value when one does, and [`CoreError::Store`] when it is corrupt or keyed
+/// to other inputs. Every `save*` method overwrites the entry through a unique
+/// temporary file and an atomic rename, so readers never see a partial write.
 #[derive(Debug, Clone)]
 pub struct SummaryStore {
     dir: PathBuf,
@@ -195,8 +200,7 @@ pub struct HStoreMeta {
     pub k: usize,
 }
 
-/// Parsed header of a persisted constructed graph, for `fg cache ls`-style
-/// listings.
+/// Parsed header of a persisted constructed graph, for `fg cache ls` listings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphStoreMeta {
     /// Fingerprint of the feature matrix the graph was constructed from.
@@ -210,8 +214,7 @@ pub struct GraphStoreMeta {
     pub edges: usize,
 }
 
-/// Parsed header of a persisted low-rank factor, for `fg cache ls`-style
-/// listings.
+/// Parsed header of a persisted low-rank factor, for `fg cache ls` listings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FactorStoreMeta {
     /// Fingerprint of the graph the factor was computed from.
@@ -222,6 +225,19 @@ pub struct FactorStoreMeta {
     pub rank: usize,
     /// Number of graph nodes `n`.
     pub nodes: usize,
+}
+
+/// The parsed header of a store file, by record kind.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EntryMeta {
+    /// A `.fgsum` summary.
+    Summary(StoreMeta),
+    /// A `.fgh` persisted `H` estimate.
+    H(HStoreMeta),
+    /// A `.fgg` constructed graph.
+    Graph(GraphStoreMeta),
+    /// A `.fgv` low-rank factor.
+    Factor(FactorStoreMeta),
 }
 
 /// What a [`SummaryStore::gc`] pass did.
@@ -244,29 +260,342 @@ pub struct StoreEntry {
     pub file: String,
     /// File size in bytes.
     pub bytes: u64,
-    /// Parsed summary (`.fgsum`) header, or `None` when the file is a different
-    /// entry kind or unreadable / corrupt.
-    pub meta: Option<StoreMeta>,
-    /// Parsed `H`-estimate (`.fgh`) header, or `None` when the file is a different
-    /// entry kind or unreadable / corrupt.
-    pub h_meta: Option<HStoreMeta>,
-    /// Parsed constructed-graph (`.fgg`) header, or `None` when the file is a
-    /// different entry kind or unreadable / corrupt.
-    pub graph_meta: Option<GraphStoreMeta>,
-    /// Parsed low-rank factor (`.fgv`) header, or `None` when the file is a
-    /// different entry kind or unreadable / corrupt.
-    pub factor_meta: Option<FactorStoreMeta>,
+    /// Parsed header, or `None` when the file is unreadable, corrupt, or a
+    /// temporary file stranded by an interrupted write.
+    pub meta: Option<EntryMeta>,
 }
 
 fn io_err(action: &str, path: &Path, e: std::io::Error) -> CoreError {
     CoreError::Store(format!("cannot {action} {}: {e}", path.display()))
 }
 
-fn corrupt(path: &Path, reason: &str) -> CoreError {
-    CoreError::Store(format!(
-        "rejecting corrupt summary file {}: {reason}",
-        path.display()
-    ))
+/// Delete `path`, returning whether a file was removed.
+fn remove_file(path: &Path) -> Result<bool> {
+    match fs::remove_file(path) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(io_err("remove", path, e)),
+    }
+}
+
+/// A decoded value, or the reason the record is corrupt.
+type Parse<T> = std::result::Result<T, &'static str>;
+
+/// One record kind: the row of the kind table that encoding, decoding, temp-file
+/// naming and [`SummaryStore::entries`] all go through.
+struct Kind {
+    extension: &'static str,
+    magic: &'static [u8; 6],
+    version: u16,
+    /// Checksum domain tag, unique across the workspace's hashes.
+    domain: &'static [u8],
+    /// What rejection messages call a file of this kind.
+    noun: &'static str,
+    /// Parse the typed header of a verified record, for listings.
+    header: fn(&mut Reader<'_>) -> Parse<EntryMeta>,
+}
+
+static SUMMARY: Kind = Kind {
+    extension: STORE_EXTENSION,
+    magic: b"FGSUMM",
+    version: STORE_FORMAT_VERSION,
+    domain: b"fg-summary-store-v1",
+    noun: "summary",
+    header: |r| summary_header(r).map(EntryMeta::Summary),
+};
+
+static H_ESTIMATE: Kind = Kind {
+    extension: H_STORE_EXTENSION,
+    magic: b"FGHEST",
+    version: H_STORE_FORMAT_VERSION,
+    domain: b"fg-h-store-v1",
+    noun: "H-estimate",
+    header: |r| h_header(r).map(EntryMeta::H),
+};
+
+static GRAPH: Kind = Kind {
+    extension: GRAPH_STORE_EXTENSION,
+    magic: b"FGGRPH",
+    version: GRAPH_STORE_FORMAT_VERSION,
+    domain: b"fg-graph-store-v1",
+    noun: "constructed-graph",
+    header: |r| graph_header(r).map(EntryMeta::Graph),
+};
+
+static FACTOR: Kind = Kind {
+    extension: FACTOR_STORE_EXTENSION,
+    magic: b"FGVFAC",
+    version: FACTOR_STORE_FORMAT_VERSION,
+    domain: b"fg-v-store-v1",
+    noun: "low-rank factor",
+    header: |r| factor_header(r).map(|(meta, _)| EntryMeta::Factor(meta)),
+};
+
+static KINDS: [&Kind; 4] = [&SUMMARY, &H_ESTIMATE, &GRAPH, &FACTOR];
+
+impl Kind {
+    /// Start a record with room for `len` bytes past its fixed header (≤ 100 bytes
+    /// with the checksum).
+    fn encoder(&'static self, len: usize) -> Encoder {
+        let mut bytes = Vec::with_capacity(len + 100);
+        bytes.extend_from_slice(self.magic);
+        bytes.extend_from_slice(&self.version.to_le_bytes());
+        Encoder { kind: self, bytes }
+    }
+
+    fn checksum(&self, bytes: &[u8]) -> [u8; CHECKSUM_LEN] {
+        let mut h = FingerprintBuilder::new(self.domain);
+        h.write_bytes(bytes);
+        h.finish().as_u128().to_le_bytes()
+    }
+
+    /// Verify the frame (length, magic, version, checksum) and return a reader over
+    /// the fields between the version and the checksum.
+    fn open<'a>(&self, bytes: &'a [u8]) -> Parse<Reader<'a>> {
+        if bytes.len() < self.magic.len() + 2 + CHECKSUM_LEN {
+            return Err("file too short for a record");
+        }
+        let (body, checksum) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
+        let (magic, rest) = body.split_at(self.magic.len());
+        let (version, fields) = rest.split_at(2);
+        if magic != self.magic {
+            return Err("bad magic bytes");
+        }
+        if version != self.version.to_le_bytes() {
+            return Err("unsupported format version");
+        }
+        if self.checksum(body) != checksum {
+            return Err("checksum mismatch");
+        }
+        Ok(Reader { fields })
+    }
+
+    fn corrupt(&self, path: &Path, reason: &str) -> CoreError {
+        let (noun, path) = (self.noun, path.display());
+        CoreError::Store(format!("rejecting corrupt {noun} file {path}: {reason}"))
+    }
+
+    /// Read the record at `path`, check that it leads with the `key` fingerprints,
+    /// and decode it; bytes `decode` leaves unread make it corrupt.
+    fn load<T>(
+        &self,
+        path: &Path,
+        key: &[Fingerprint],
+        decode: impl FnOnce(&mut Reader<'_>) -> std::result::Result<T, String>,
+    ) -> Result<Option<T>> {
+        let bytes = match fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(io_err("read", path, e)),
+        };
+        let mut reader = self.open(&bytes).map_err(|r| self.corrupt(path, r))?;
+        // Peek through a copy: the kind's header parser reads the keys again.
+        let mut keys = reader;
+        if !key.iter().all(|&fp| keys.fingerprint() == Ok(fp)) {
+            return Err(self.corrupt(path, "embedded fingerprints do not match the request"));
+        }
+        let value = decode(&mut reader).map_err(|r| self.corrupt(path, &r))?;
+        if !reader.fields.is_empty() {
+            return Err(self.corrupt(path, LENGTH_MISMATCH));
+        }
+        Ok(Some(value))
+    }
+
+    /// The parsed header of the file at `path`, if it is readable and intact.
+    fn entry_meta(&self, path: &Path) -> Option<EntryMeta> {
+        let bytes = fs::read(path).ok()?;
+        (self.header)(&mut self.open(&bytes).ok()?).ok()
+    }
+}
+
+/// Appends little-endian fields to a record, then seals and writes it.
+struct Encoder {
+    kind: &'static Kind,
+    bytes: Vec<u8>,
+}
+
+impl Encoder {
+    fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        self.bytes.extend_from_slice(bytes);
+        self
+    }
+
+    fn u32(&mut self, v: usize) -> &mut Self {
+        self.bytes(&(v as u32).to_le_bytes())
+    }
+
+    fn u64(&mut self, v: usize) -> &mut Self {
+        self.bytes(&(v as u64).to_le_bytes())
+    }
+
+    fn fingerprint(&mut self, fp: Fingerprint) -> &mut Self {
+        self.bytes(&fp.as_u128().to_le_bytes())
+    }
+
+    fn f64(&mut self, v: f64) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    fn f64s(&mut self, values: &[f64]) -> &mut Self {
+        values.iter().fold(self, |e, &v| e.f64(v))
+    }
+
+    /// Append the checksum and write the record to `path` through a temporary
+    /// file and an atomic rename.
+    fn write(mut self, path: PathBuf) -> Result<PathBuf> {
+        let checksum = self.kind.checksum(&self.bytes);
+        self.bytes.extend_from_slice(&checksum);
+        // The temporary name is unique per (process, write), so two writers racing
+        // on one key (sessions extending a stored prefix to different lmax) land
+        // whole files in either order and readers never see an interleaving.
+        let tmp = path.with_extension(format!(
+            "{}.{}-{}.tmp",
+            self.kind.extension,
+            std::process::id(),
+            TMP_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        fs::write(&tmp, &self.bytes).map_err(|e| io_err("write", &tmp, e))?;
+        fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))?;
+        Ok(path)
+    }
+}
+
+/// A cursor over a verified record's fields. Every read checks that its bytes are
+/// present and every size is computed with checked arithmetic, so no header value
+/// can cause a panic or an allocation larger than the record.
+#[derive(Clone, Copy)]
+struct Reader<'a> {
+    fields: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, len: usize) -> Parse<&'a [u8]> {
+        let (head, rest) = self.fields.split_at_checked(len).ok_or(LENGTH_MISMATCH)?;
+        self.fields = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Parse<[u8; N]> {
+        Ok(self.take(N)?.try_into().expect("took N bytes"))
+    }
+
+    fn u32(&mut self) -> Parse<usize> {
+        self.array().map(|b| u32::from_le_bytes(b) as usize)
+    }
+
+    fn u64(&mut self) -> Parse<usize> {
+        let v = u64::from_le_bytes(self.array()?);
+        usize::try_from(v).map_err(|_| OVERFLOW)
+    }
+
+    fn f64(&mut self) -> Parse<f64> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    fn fingerprint(&mut self) -> Parse<Fingerprint> {
+        self.array()
+            .map(|b| Fingerprint::from_u128(u128::from_le_bytes(b)))
+    }
+
+    fn str(&mut self, len: usize) -> Parse<String> {
+        let bytes = self.take(len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| "embedded name is not valid UTF-8")
+    }
+
+    /// `count` values, checked against the bytes left before any allocation.
+    fn f64s(&mut self, count: usize) -> Parse<Vec<f64>> {
+        let raw = self.take(product(count, 8)?)?;
+        let value = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+        Ok(raw.chunks_exact(8).map(value).collect())
+    }
+}
+
+/// `a · b`, or the rejection reason when a hostile header makes it overflow.
+fn product(a: usize, b: usize) -> Parse<usize> {
+    a.checked_mul(b).ok_or(OVERFLOW)
+}
+
+fn summary_header(r: &mut Reader<'_>) -> Parse<StoreMeta> {
+    let meta = StoreMeta {
+        graph_fp: r.fingerprint()?,
+        seed_fp: r.fingerprint()?,
+        non_backtracking: match r.take(1)? {
+            [0] => false,
+            [1] => true,
+            _ => return Err("invalid counting-mode byte"),
+        },
+        k: r.u32()?,
+        max_length: r.u32()?,
+    };
+    if meta.k == 0 || meta.max_length == 0 {
+        return Err("header declares an empty summary");
+    }
+    Ok(meta)
+}
+
+fn h_header(r: &mut Reader<'_>) -> Parse<HStoreMeta> {
+    let (graph_fp, seed_fp) = (r.fingerprint()?, r.fingerprint()?);
+    let (name_len, k) = (r.u32()?, r.u32()?);
+    if k == 0 || name_len == 0 {
+        return Err("header declares an empty estimate");
+    }
+    Ok(HStoreMeta {
+        graph_fp,
+        seed_fp,
+        estimator: r.str(name_len)?,
+        k,
+    })
+}
+
+fn graph_header(r: &mut Reader<'_>) -> Parse<GraphStoreMeta> {
+    let features_fp = r.fingerprint()?;
+    let (name_len, nodes, edges) = (r.u32()?, r.u64()?, r.u64()?);
+    if name_len == 0 {
+        return Err("header declares an empty builder spec");
+    }
+    if nodes / MAX_NODES_PER_GRAPH_BYTE > r.fields.len() {
+        return Err("header declares more nodes than the record can describe");
+    }
+    Ok(GraphStoreMeta {
+        features_fp,
+        builder: r.str(name_len)?,
+        nodes,
+        edges,
+    })
+}
+
+/// The factor header plus the iteration count of the solve it records.
+fn factor_header(r: &mut Reader<'_>) -> Parse<(FactorStoreMeta, usize)> {
+    let (graph_fp, factor_fp, rank) = (r.fingerprint()?, r.fingerprint()?, r.u32()?);
+    // max_iter, tol and seed enter the factor fingerprint, which loads validate.
+    r.take(24)?;
+    let (nodes, iterations) = (r.u64()?, r.u64()?);
+    if rank == 0 || nodes == 0 || rank > nodes {
+        return Err("header declares an impossible rank/node combination");
+    }
+    let meta = FactorStoreMeta {
+        graph_fp,
+        factor_fp,
+        rank,
+        nodes,
+    };
+    Ok((meta, iterations))
+}
+
+/// Hex digest of an estimator name or builder spec, for file names only.
+fn name_digest(name: &str) -> String {
+    let mut h = FingerprintBuilder::new(b"fg-h-store-name-v1");
+    h.write_bytes(name.as_bytes());
+    h.finish().to_hex()
+}
+
+/// The bytes of a name that keys an entry, which must fit its `u32` length field.
+fn key_name<'a>(name: &'a str, what: &str) -> Result<&'a [u8]> {
+    if name.is_empty() || name.len() > u32::MAX as usize {
+        let reason = format!("{what} must be non-empty to key an entry");
+        return Err(CoreError::Store(reason));
+    }
+    Ok(name.as_bytes())
 }
 
 impl SummaryStore {
@@ -295,17 +624,13 @@ impl SummaryStore {
         seed_fp: Fingerprint,
         non_backtracking: bool,
     ) -> PathBuf {
+        let (g, s) = (graph_fp.to_hex(), seed_fp.to_hex());
         let mode = if non_backtracking { "nb" } else { "all" };
-        self.dir.join(format!(
-            "{}-{}-{mode}.{STORE_EXTENSION}",
-            graph_fp.to_hex(),
-            seed_fp.to_hex()
-        ))
+        self.dir.join(format!("{g}-{s}-{mode}.{STORE_EXTENSION}"))
     }
 
-    /// Persist raw count matrices for a `(graph, seeds, mode)` triple, overwriting any
-    /// existing file (written via a temporary file + rename so readers never observe a
-    /// partial write). Every matrix must be `k x k`.
+    /// Persist raw count matrices for a `(graph, seeds, mode)` triple. Every matrix
+    /// must be `k x k`.
     pub fn save(
         &self,
         graph_fp: Fingerprint,
@@ -314,58 +639,21 @@ impl SummaryStore {
         k: usize,
         counts: &[DenseMatrix],
     ) -> Result<PathBuf> {
-        if counts.is_empty() {
-            return Err(CoreError::Store(
-                "refusing to persist an empty summary".into(),
-            ));
+        if counts.is_empty() || counts.iter().any(|m| m.shape() != (k, k)) {
+            let reason = format!("refusing to persist a summary that is not {k}x{k} matrices");
+            return Err(CoreError::Store(reason));
         }
-        for (i, m) in counts.iter().enumerate() {
-            if m.rows() != k || m.cols() != k {
-                return Err(CoreError::Store(format!(
-                    "count matrix for length {} is {}x{} but k = {k}",
-                    i + 1,
-                    m.rows(),
-                    m.cols()
-                )));
-            }
-        }
-        let mut bytes = Vec::with_capacity(HEADER_LEN + counts.len() * k * k * 8 + CHECKSUM_LEN);
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&graph_fp.as_u128().to_le_bytes());
-        bytes.extend_from_slice(&seed_fp.as_u128().to_le_bytes());
-        bytes.push(u8::from(non_backtracking));
-        bytes.extend_from_slice(&(k as u32).to_le_bytes());
-        bytes.extend_from_slice(&(counts.len() as u32).to_le_bytes());
+        let mut record = SUMMARY.encoder(counts.len() * k * k * 8);
+        record.fingerprint(graph_fp).fingerprint(seed_fp);
+        record.bytes(&[u8::from(non_backtracking)]);
+        record.u32(k).u32(counts.len());
         for m in counts {
-            for &v in m.data() {
-                bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
+            record.f64s(m.data());
         }
-        let checksum = checksum_of(&bytes);
-        bytes.extend_from_slice(&checksum.as_u128().to_le_bytes());
-
-        let path = self.path_for(graph_fp, seed_fp, non_backtracking);
-        // The temporary name is unique per (process, save call): two writers racing
-        // to upgrade the same key — e.g. sessions extending a stored prefix to
-        // different lmax — each write their own temp file and the atomic renames
-        // land whole files in either order, so readers only ever observe a valid
-        // summary (one of the two, never an interleaving).
-        let tmp = path.with_extension(format!(
-            "{STORE_EXTENSION}.{}-{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        fs::write(&tmp, &bytes).map_err(|e| io_err("write", &tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))?;
-        Ok(path)
+        record.write(self.path_for(graph_fp, seed_fp, non_backtracking))
     }
 
     /// Load the persisted counts for a `(graph, seeds, mode)` triple.
-    ///
-    /// Returns `Ok(None)` when no file exists, `Ok(Some(..))` with the bit-exact
-    /// stored counts, and [`CoreError::Store`] when the file exists but is corrupt or
-    /// describes different inputs than requested (the loud-rejection policy).
     pub fn load(
         &self,
         graph_fp: Fingerprint,
@@ -373,136 +661,46 @@ impl SummaryStore {
         non_backtracking: bool,
     ) -> Result<Option<StoredCounts>> {
         let path = self.path_for(graph_fp, seed_fp, non_backtracking);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err("read", &path, e)),
-        };
-        let (meta, payload_start) = parse_header(&bytes).map_err(|r| corrupt(&path, r))?;
-        if bytes.len() < payload_start + CHECKSUM_LEN {
-            return Err(corrupt(&path, "truncated payload"));
-        }
-        let (body, checksum_bytes) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-        let stored_checksum = Fingerprint::from_u128(u128::from_le_bytes(
-            checksum_bytes.try_into().expect("checksum is 16 bytes"),
-        ));
-        if checksum_of(body) != stored_checksum {
-            return Err(corrupt(&path, "checksum mismatch"));
-        }
-        if meta.graph_fp != graph_fp || meta.seed_fp != seed_fp {
-            return Err(corrupt(
-                &path,
-                "embedded fingerprints do not match the requested graph/seeds",
-            ));
-        }
-        if meta.non_backtracking != non_backtracking {
-            return Err(corrupt(&path, "embedded counting mode does not match"));
-        }
-        let k = meta.k;
-        let expected_payload = meta.max_length * k * k * 8;
-        let payload = &body[HEADER_LEN..];
-        if payload.len() != expected_payload {
-            return Err(corrupt(&path, "payload length disagrees with header"));
-        }
-        let mut counts = Vec::with_capacity(meta.max_length);
-        for l in 0..meta.max_length {
-            let mut data = Vec::with_capacity(k * k);
-            for e in 0..k * k {
-                let offset = (l * k * k + e) * 8;
-                let raw = u64::from_le_bytes(
-                    payload[offset..offset + 8]
-                        .try_into()
-                        .expect("8-byte slice"),
-                );
-                data.push(f64::from_bits(raw));
+        SUMMARY.load(&path, &[graph_fp, seed_fp], |r| {
+            let meta = summary_header(r)?;
+            if meta.non_backtracking != non_backtracking {
+                return Err("embedded counting mode does not match".into());
             }
-            counts.push(
-                DenseMatrix::from_vec(k, k, data)
-                    .map_err(|e| corrupt(&path, &format!("invalid matrix: {e}")))?,
-            );
-        }
-        Ok(Some(StoredCounts { counts, k }))
+            let k = meta.k;
+            let mut counts = Vec::new();
+            for _ in 0..meta.max_length {
+                let m = DenseMatrix::from_vec(k, k, r.f64s(product(k, k)?)?);
+                counts.push(m.map_err(|e| format!("invalid matrix: {e}"))?);
+            }
+            Ok(StoredCounts { counts, k })
+        })
     }
 
-    /// List every store file — `.fgsum` summaries, `.fgh` persisted `H` estimates,
-    /// `.fgg` constructed graphs, `.fgv` low-rank factors, plus any `.tmp`
-    /// leftovers of interrupted writes — with its parsed header (all meta fields
-    /// `None` marks unreadable / corrupt / stale-temporary files). Sorted by file
-    /// name for stable output.
+    /// List every store file of the four kinds, plus any `.tmp` leftovers of
+    /// interrupted writes, with its parsed header. Sorted by file name.
     pub fn entries(&self) -> Result<Vec<StoreEntry>> {
         let mut entries = Vec::new();
         let dir_iter = match fs::read_dir(&self.dir) {
             Ok(iter) => iter,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(entries),
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(entries),
             Err(e) => return Err(io_err("read store directory", &self.dir, e)),
         };
-        let store_suffix = format!(".{STORE_EXTENSION}");
-        let h_suffix = format!(".{H_STORE_EXTENSION}");
-        let g_suffix = format!(".{GRAPH_STORE_EXTENSION}");
-        let v_suffix = format!(".{FACTOR_STORE_EXTENSION}");
-        let tmp_markers = [
-            format!(".{STORE_EXTENSION}."),
-            format!(".{H_STORE_EXTENSION}."),
-            format!(".{GRAPH_STORE_EXTENSION}."),
-            format!(".{FACTOR_STORE_EXTENSION}."),
-        ];
         for item in dir_iter {
             let item = item.map_err(|e| io_err("read store directory", &self.dir, e))?;
-            let path = item.path();
             let file = item.file_name().to_string_lossy().into_owned();
-            let is_store_file = file.ends_with(&store_suffix);
-            let is_h_file = file.ends_with(&h_suffix);
-            let is_g_file = file.ends_with(&g_suffix);
-            let is_v_file = file.ends_with(&v_suffix);
-            // A crash between `fs::write` and `fs::rename` strands a temp file
-            // (`*.fgsum.<pid>-<seq>.tmp`, same pattern for `.fgh` / `.fgg` /
-            // `.fgv`, or the pre-unique `*.fgsum.tmp` spelling); listing it
-            // (always as corrupt) keeps it visible and clearable.
-            let is_tmp_file = !is_store_file
-                && !is_h_file
-                && !is_g_file
-                && !is_v_file
-                && file.ends_with(".tmp")
-                && tmp_markers.iter().any(|m| file.contains(m));
-            if !is_store_file && !is_h_file && !is_g_file && !is_v_file && !is_tmp_file {
+            let dotted = |k: &Kind| format!(".{}", k.extension);
+            let kind = KINDS.into_iter().find(|k| file.ends_with(&dotted(k)));
+            // A crash between write and rename strands `*.fgsum.<pid>-<seq>.tmp`
+            // (or the older `*.fgsum.tmp`); listing it keeps it clearable.
+            let stranded =
+                file.ends_with(".tmp") && KINDS.iter().any(|k| file.contains(&(dotted(k) + ".")));
+            if kind.is_none() && !stranded {
                 continue;
             }
-            let bytes = item.metadata().map(|m| m.len()).unwrap_or(0);
-            let meta = if is_store_file {
-                fs::read(&path)
-                    .ok()
-                    .and_then(|bytes| parse_header(&bytes).ok().map(|(meta, _)| meta))
-            } else {
-                None
-            };
-            let h_meta = if is_h_file {
-                fs::read(&path)
-                    .ok()
-                    .and_then(|bytes| parse_h_header(&bytes).ok().map(|(meta, _)| meta))
-            } else {
-                None
-            };
-            let graph_meta = if is_g_file {
-                fs::read(&path)
-                    .ok()
-                    .and_then(|bytes| parse_graph_header(&bytes).ok().map(|(meta, _)| meta))
-            } else {
-                None
-            };
-            let factor_meta = if is_v_file {
-                fs::read(&path)
-                    .ok()
-                    .and_then(|bytes| parse_factor_header(&bytes).ok().map(|(meta, _)| meta))
-            } else {
-                None
-            };
             entries.push(StoreEntry {
+                bytes: item.metadata().map(|m| m.len()).unwrap_or(0),
+                meta: kind.and_then(|kind| kind.entry_meta(&item.path())),
                 file,
-                bytes,
-                meta,
-                h_meta,
-                graph_meta,
-                factor_meta,
             });
         }
         entries.sort_by(|a, b| a.file.cmp(&b.file));
@@ -510,45 +708,31 @@ impl SummaryStore {
     }
 
     /// Delete the stored summary for one `(graph, seeds, mode)` triple, returning
-    /// whether a file was removed. Long-lived sessions use this to prune the entry
-    /// of a superseded seed set (whose fingerprint will never be requested again)
-    /// when they persist its replacement.
+    /// whether a file was removed (sessions prune superseded seed sets this way).
     pub fn remove(
         &self,
         graph_fp: Fingerprint,
         seed_fp: Fingerprint,
         non_backtracking: bool,
     ) -> Result<bool> {
-        let path = self.path_for(graph_fp, seed_fp, non_backtracking);
-        match fs::remove_file(&path) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(io_err("remove", &path, e)),
-        }
+        remove_file(&self.path_for(graph_fp, seed_fp, non_backtracking))
     }
 
-    /// The file path an estimated `H` is stored under. The parameterized estimator
-    /// name contains characters that are awkward in file names (`(`, `=`, `,`), so
-    /// the name is folded into a hex digest for the path while the full string is
-    /// embedded in (and validated against) the file itself.
+    /// The file path an estimated `H` is stored under. Estimator names hold
+    /// characters awkward in file names (`(`, `=`, `,`), so the path carries a hex
+    /// digest of the name while the full name is embedded in the file.
     pub fn path_for_h(
         &self,
         graph_fp: Fingerprint,
         seed_fp: Fingerprint,
         estimator: &str,
     ) -> PathBuf {
-        self.dir.join(format!(
-            "{}-{}-{}.{H_STORE_EXTENSION}",
-            graph_fp.to_hex(),
-            seed_fp.to_hex(),
-            name_digest(estimator)
-        ))
+        let (g, s, name) = (graph_fp.to_hex(), seed_fp.to_hex(), name_digest(estimator));
+        self.dir.join(format!("{g}-{s}-{name}.{H_STORE_EXTENSION}"))
     }
 
     /// Persist an estimated compatibility matrix `H` keyed by
-    /// `(graph, seeds, estimator name)`, overwriting any existing entry (written via
-    /// a unique temporary file + atomic rename, like [`SummaryStore::save`]). The
-    /// matrix must be square.
+    /// `(graph, seeds, estimator name)`. The matrix must be square.
     pub fn save_h(
         &self,
         graph_fp: Fingerprint,
@@ -556,50 +740,19 @@ impl SummaryStore {
         estimator: &str,
         h: &DenseMatrix,
     ) -> Result<PathBuf> {
-        let k = h.rows();
-        if k == 0 || h.cols() != k {
-            return Err(CoreError::Store(format!(
-                "refusing to persist a {}x{} estimate (H must be square and non-empty)",
-                h.rows(),
-                h.cols()
-            )));
+        let (k, cols) = h.shape();
+        if k == 0 || cols != k {
+            let reason = format!("refusing to persist a {k}x{cols} estimate (H must be square)");
+            return Err(CoreError::Store(reason));
         }
-        let name = estimator.as_bytes();
-        if name.is_empty() || name.len() > u32::MAX as usize {
-            return Err(CoreError::Store(
-                "estimator name must be non-empty to key a persisted estimate".into(),
-            ));
-        }
-        let mut bytes = Vec::with_capacity(H_HEADER_LEN + name.len() + k * k * 8 + CHECKSUM_LEN);
-        bytes.extend_from_slice(H_MAGIC);
-        bytes.extend_from_slice(&H_STORE_FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&graph_fp.as_u128().to_le_bytes());
-        bytes.extend_from_slice(&seed_fp.as_u128().to_le_bytes());
-        bytes.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&(k as u32).to_le_bytes());
-        bytes.extend_from_slice(name);
-        for &v in h.data() {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let checksum = h_checksum_of(&bytes);
-        bytes.extend_from_slice(&checksum.as_u128().to_le_bytes());
-
-        let path = self.path_for_h(graph_fp, seed_fp, estimator);
-        let tmp = path.with_extension(format!(
-            "{H_STORE_EXTENSION}.{}-{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        fs::write(&tmp, &bytes).map_err(|e| io_err("write", &tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))?;
-        Ok(path)
+        let name = key_name(estimator, "estimator name")?;
+        let mut record = H_ESTIMATE.encoder(name.len() + k * k * 8);
+        record.fingerprint(graph_fp).fingerprint(seed_fp);
+        record.u32(name.len()).u32(k).bytes(name).f64s(h.data());
+        record.write(self.path_for_h(graph_fp, seed_fp, estimator))
     }
 
     /// Load the persisted `H` estimate for a `(graph, seeds, estimator)` triple.
-    ///
-    /// Returns `Ok(None)` when no file exists, `Ok(Some(..))` with the bit-exact
-    /// stored matrix, and [`CoreError::Store`] when the file exists but is corrupt
-    /// or keyed to different inputs than requested (the loud-rejection policy).
     pub fn load_h(
         &self,
         graph_fp: Fingerprint,
@@ -607,51 +760,14 @@ impl SummaryStore {
         estimator: &str,
     ) -> Result<Option<DenseMatrix>> {
         let path = self.path_for_h(graph_fp, seed_fp, estimator);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err("read", &path, e)),
-        };
-        let (meta, payload_start) = parse_h_header(&bytes).map_err(|r| corrupt(&path, r))?;
-        if bytes.len() < payload_start + CHECKSUM_LEN {
-            return Err(corrupt(&path, "truncated payload"));
-        }
-        let (body, checksum_bytes) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-        let stored_checksum = Fingerprint::from_u128(u128::from_le_bytes(
-            checksum_bytes.try_into().expect("checksum is 16 bytes"),
-        ));
-        if h_checksum_of(body) != stored_checksum {
-            return Err(corrupt(&path, "checksum mismatch"));
-        }
-        if meta.graph_fp != graph_fp || meta.seed_fp != seed_fp {
-            return Err(corrupt(
-                &path,
-                "embedded fingerprints do not match the requested graph/seeds",
-            ));
-        }
-        if meta.estimator != estimator {
-            return Err(corrupt(
-                &path,
-                "embedded estimator name does not match the request",
-            ));
-        }
-        let k = meta.k;
-        let payload = &body[payload_start..];
-        if payload.len() != k * k * 8 {
-            return Err(corrupt(&path, "payload length disagrees with header"));
-        }
-        let mut data = Vec::with_capacity(k * k);
-        for e in 0..k * k {
-            let raw = u64::from_le_bytes(
-                payload[e * 8..(e + 1) * 8]
-                    .try_into()
-                    .expect("8-byte slice"),
-            );
-            data.push(f64::from_bits(raw));
-        }
-        let h = DenseMatrix::from_vec(k, k, data)
-            .map_err(|e| corrupt(&path, &format!("invalid matrix: {e}")))?;
-        Ok(Some(h))
+        H_ESTIMATE.load(&path, &[graph_fp, seed_fp], |r| {
+            let meta = h_header(r)?;
+            if meta.estimator != estimator {
+                return Err("embedded estimator name does not match the request".into());
+            }
+            let data = r.f64s(product(meta.k, meta.k)?)?;
+            DenseMatrix::from_vec(meta.k, meta.k, data).map_err(|e| format!("invalid matrix: {e}"))
+        })
     }
 
     /// Delete the persisted `H` estimate for one `(graph, seeds, estimator)` triple,
@@ -662,577 +778,160 @@ impl SummaryStore {
         seed_fp: Fingerprint,
         estimator: &str,
     ) -> Result<bool> {
-        let path = self.path_for_h(graph_fp, seed_fp, estimator);
-        match fs::remove_file(&path) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(io_err("remove", &path, e)),
-        }
+        remove_file(&self.path_for_h(graph_fp, seed_fp, estimator))
     }
 
     /// The file path a constructed graph is stored under, keyed by the feature
-    /// matrix's content fingerprint and (a digest of) the parameterized builder
-    /// spec; the full spec string is embedded in the file and validated on load.
+    /// matrix's fingerprint and a digest of the builder spec.
     pub fn path_for_graph(&self, features_fp: Fingerprint, builder: &str) -> PathBuf {
-        self.dir.join(format!(
-            "{}-{}.{GRAPH_STORE_EXTENSION}",
-            features_fp.to_hex(),
-            name_digest(builder)
-        ))
+        let (features, name) = (features_fp.to_hex(), name_digest(builder));
+        self.dir
+            .join(format!("{features}-{name}.{GRAPH_STORE_EXTENSION}"))
     }
 
-    /// Persist a constructed graph keyed by `(features fingerprint, builder spec)`,
-    /// overwriting any existing entry (unique temporary file + atomic rename, like
-    /// [`SummaryStore::save`]). Warm `fg construct` runs load the finished edge
-    /// list instead of repeating the `O(n²·d)` build.
+    /// Persist a constructed graph keyed by `(features fingerprint, builder spec)`.
+    /// A graph with more than 8 nodes per byte of spec and edges is refused: it
+    /// could not be loaded back.
     pub fn save_graph(
         &self,
         features_fp: Fingerprint,
         builder: &str,
         graph: &fg_graph::Graph,
     ) -> Result<PathBuf> {
-        let name = builder.as_bytes();
-        if name.is_empty() || name.len() > u32::MAX as usize {
-            return Err(CoreError::Store(
-                "builder spec must be non-empty to key a persisted graph".into(),
-            ));
+        let name = key_name(builder, "builder spec")?;
+        let (nodes, edges) = (graph.num_nodes(), graph.edges().count());
+        let mut record = GRAPH.encoder(name.len() + edges * 24);
+        record.fingerprint(features_fp).u32(name.len());
+        record.u64(nodes).u64(edges).bytes(name);
+        for (u, v, w) in graph.edges() {
+            record.u64(u).u64(v).f64(w);
         }
-        let edges: Vec<(usize, usize, f64)> = graph.edges().collect();
-        let mut bytes =
-            Vec::with_capacity(G_HEADER_LEN + name.len() + edges.len() * 24 + CHECKSUM_LEN);
-        bytes.extend_from_slice(G_MAGIC);
-        bytes.extend_from_slice(&GRAPH_STORE_FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&features_fp.as_u128().to_le_bytes());
-        bytes.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&(graph.num_nodes() as u64).to_le_bytes());
-        bytes.extend_from_slice(&(edges.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(name);
-        for (u, v, w) in edges {
-            bytes.extend_from_slice(&(u as u64).to_le_bytes());
-            bytes.extend_from_slice(&(v as u64).to_le_bytes());
-            bytes.extend_from_slice(&w.to_bits().to_le_bytes());
+        if nodes / MAX_NODES_PER_GRAPH_BYTE > name.len() + edges * 24 {
+            let reason = format!("refusing to persist a graph of {nodes} nodes, {edges} edges");
+            return Err(CoreError::Store(reason));
         }
-        let checksum = graph_checksum_of(&bytes);
-        bytes.extend_from_slice(&checksum.as_u128().to_le_bytes());
-
-        let path = self.path_for_graph(features_fp, builder);
-        let tmp = path.with_extension(format!(
-            "{GRAPH_STORE_EXTENSION}.{}-{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        fs::write(&tmp, &bytes).map_err(|e| io_err("write", &tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))?;
-        Ok(path)
+        record.write(self.path_for_graph(features_fp, builder))
     }
 
     /// Load the persisted constructed graph for a `(features, builder)` pair.
-    ///
-    /// Returns `Ok(None)` when no file exists, `Ok(Some(..))` with a graph whose
-    /// edge weights are bit-exact, and [`CoreError::Store`] when the file exists
-    /// but is corrupt or keyed to different inputs (the loud-rejection policy).
     pub fn load_graph(
         &self,
         features_fp: Fingerprint,
         builder: &str,
     ) -> Result<Option<fg_graph::Graph>> {
         let path = self.path_for_graph(features_fp, builder);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err("read", &path, e)),
-        };
-        let (meta, payload_start) = parse_graph_header(&bytes).map_err(|r| corrupt(&path, r))?;
-        if bytes.len() < payload_start + CHECKSUM_LEN {
-            return Err(corrupt(&path, "truncated payload"));
-        }
-        let (body, checksum_bytes) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-        let stored_checksum = Fingerprint::from_u128(u128::from_le_bytes(
-            checksum_bytes.try_into().expect("checksum is 16 bytes"),
-        ));
-        if graph_checksum_of(body) != stored_checksum {
-            return Err(corrupt(&path, "checksum mismatch"));
-        }
-        if meta.features_fp != features_fp {
-            return Err(corrupt(
-                &path,
-                "embedded fingerprints do not match the requested features",
-            ));
-        }
-        if meta.builder != builder {
-            return Err(corrupt(&path, "embedded builder spec does not match"));
-        }
-        let payload = &body[payload_start..];
-        if payload.len() != meta.edges * 24 {
-            return Err(corrupt(&path, "payload length disagrees with header"));
-        }
-        let mut edges = Vec::with_capacity(meta.edges);
-        for e in 0..meta.edges {
-            let at = |off: usize| e * 24 + off;
-            let u = u64::from_le_bytes(payload[at(0)..at(8)].try_into().expect("8-byte slice"))
-                as usize;
-            let v = u64::from_le_bytes(payload[at(8)..at(16)].try_into().expect("8-byte slice"))
-                as usize;
-            let w = f64::from_bits(u64::from_le_bytes(
-                payload[at(16)..at(24)].try_into().expect("8-byte slice"),
-            ));
-            edges.push((u, v, w));
-        }
-        let graph = fg_graph::Graph::from_weighted_edges(meta.nodes, &edges)
-            .map_err(|e| corrupt(&path, &format!("invalid graph: {e}")))?;
-        Ok(Some(graph))
+        GRAPH.load(&path, &[features_fp], |r| {
+            let meta = graph_header(r)?;
+            if meta.builder != builder {
+                return Err("embedded builder spec does not match".into());
+            }
+            // A hostile edge count fails at the first missing byte, unallocated.
+            let edges = (0..meta.edges)
+                .map(|_| Ok((r.u64()?, r.u64()?, r.f64()?)))
+                .collect::<Parse<Vec<_>>>()?;
+            fg_graph::Graph::from_weighted_edges(meta.nodes, &edges)
+                .map_err(|e| format!("invalid graph: {e}"))
+        })
     }
 
-    /// Delete the persisted constructed graph for one `(features, builder)` pair,
-    /// returning whether a file was removed.
-    pub fn remove_graph(&self, features_fp: Fingerprint, builder: &str) -> Result<bool> {
-        let path = self.path_for_graph(features_fp, builder);
-        match fs::remove_file(&path) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(io_err("remove", &path, e)),
-        }
-    }
-
-    /// The file path a low-rank factor is stored under, keyed by the graph
-    /// fingerprint and the factor fingerprint (which folds in the rank and every
-    /// solver parameter).
+    /// The file path a low-rank factor is stored under, keyed by the graph and
+    /// factor fingerprints (the latter folds in the rank and solver parameters).
     pub fn path_for_factor(&self, graph_fp: Fingerprint, config: &FactorConfig) -> PathBuf {
-        self.dir.join(format!(
-            "{}-{}.{FACTOR_STORE_EXTENSION}",
-            graph_fp.to_hex(),
-            factor_fingerprint(graph_fp, config).to_hex()
-        ))
+        let (g, factor) = (graph_fp.to_hex(), factor_fingerprint(graph_fp, config));
+        self.dir
+            .join(format!("{g}-{}.{FACTOR_STORE_EXTENSION}", factor.to_hex()))
     }
 
-    /// Persist a computed low-rank factor keyed by `(graph, factor config)`,
-    /// overwriting any existing entry (unique temporary file + atomic rename,
-    /// like [`SummaryStore::save`]). Warm runs of the low-rank counting backend
-    /// load the factor instead of repeating the eigensolve — the backend's only
-    /// edge-proportional cost.
+    /// Persist a computed low-rank factor keyed by `(graph, factor config)`.
     pub fn save_factor(&self, factor: &LowRankFactor) -> Result<PathBuf> {
-        let graph_fp = factor.graph_fingerprint();
-        let config = factor.config();
-        let n = factor.num_nodes();
-        let r = factor.rank();
-        let payload_values = n * r + r + r * r + n;
-        let mut bytes = Vec::with_capacity(V_HEADER_LEN + payload_values * 8 + CHECKSUM_LEN);
-        bytes.extend_from_slice(V_MAGIC);
-        bytes.extend_from_slice(&FACTOR_STORE_FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&graph_fp.as_u128().to_le_bytes());
-        bytes.extend_from_slice(&factor.fingerprint().as_u128().to_le_bytes());
-        bytes.extend_from_slice(&(r as u32).to_le_bytes());
-        bytes.extend_from_slice(&(config.max_iter as u64).to_le_bytes());
-        bytes.extend_from_slice(&config.tol.to_bits().to_le_bytes());
-        bytes.extend_from_slice(&config.seed.to_le_bytes());
-        bytes.extend_from_slice(&(n as u64).to_le_bytes());
-        bytes.extend_from_slice(&(factor.iterations() as u64).to_le_bytes());
-        for &v in factor.v().data() {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        for &v in factor.lambda() {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        for &v in factor.g().data() {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        for &v in factor.degrees() {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let checksum = factor_checksum_of(&bytes);
-        bytes.extend_from_slice(&checksum.as_u128().to_le_bytes());
-
-        let path = self.path_for_factor(graph_fp, config);
-        let tmp = path.with_extension(format!(
-            "{FACTOR_STORE_EXTENSION}.{}-{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        fs::write(&tmp, &bytes).map_err(|e| io_err("write", &tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))?;
-        Ok(path)
+        let (graph_fp, factor_fp) = (factor.graph_fingerprint(), factor.fingerprint());
+        let (n, r, config) = (factor.num_nodes(), factor.rank(), factor.config());
+        let mut record = FACTOR.encoder((n * r + r + r * r + n) * 8);
+        record.fingerprint(graph_fp).fingerprint(factor_fp);
+        record.u32(r).u64(config.max_iter).f64(config.tol);
+        record.bytes(&config.seed.to_le_bytes());
+        record.u64(n).u64(factor.iterations());
+        record.f64s(factor.v().data()).f64s(factor.lambda());
+        record.f64s(factor.g().data()).f64s(factor.degrees());
+        record.write(self.path_for_factor(graph_fp, config))
     }
 
     /// Load the persisted low-rank factor for a `(graph, factor config)` pair.
-    ///
-    /// Returns `Ok(None)` when no file exists, `Ok(Some(..))` with the bit-exact
-    /// stored factor, and [`CoreError::Store`] when the file exists but is
-    /// corrupt or keyed to different inputs than requested (the loud-rejection
-    /// policy).
     pub fn load_factor(
         &self,
         graph_fp: Fingerprint,
         config: &FactorConfig,
     ) -> Result<Option<LowRankFactor>> {
-        let path = self.path_for_factor(graph_fp, config);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err("read", &path, e)),
-        };
-        let (meta, payload_start) = parse_factor_header(&bytes).map_err(|r| corrupt(&path, r))?;
-        if bytes.len() < payload_start + CHECKSUM_LEN {
-            return Err(corrupt(&path, "truncated payload"));
-        }
-        let (body, checksum_bytes) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-        let stored_checksum = Fingerprint::from_u128(u128::from_le_bytes(
-            checksum_bytes.try_into().expect("checksum is 16 bytes"),
-        ));
-        if factor_checksum_of(body) != stored_checksum {
-            return Err(corrupt(&path, "checksum mismatch"));
-        }
-        if meta.graph_fp != graph_fp {
-            return Err(corrupt(
-                &path,
-                "embedded fingerprint does not match the requested graph",
-            ));
-        }
-        if meta.factor_fp != factor_fingerprint(graph_fp, config) {
-            return Err(corrupt(
-                &path,
-                "embedded factor fingerprint does not match the requested solver config",
-            ));
-        }
-        let (n, r) = (meta.nodes, meta.rank);
-        let payload = &body[payload_start..];
-        if payload.len() != (n * r + r + r * r + n) * 8 {
-            return Err(corrupt(&path, "payload length disagrees with header"));
-        }
-        let mut values = Vec::with_capacity(payload.len() / 8);
-        for chunk in payload.chunks_exact(8) {
-            values.push(f64::from_bits(u64::from_le_bytes(
-                chunk.try_into().expect("8-byte slice"),
-            )));
-        }
-        let mut rest = values;
-        let degrees = rest.split_off(n * r + r + r * r);
-        let g_data = rest.split_off(n * r + r);
-        let lambda = rest.split_off(n * r);
-        let v = DenseMatrix::from_vec(n, r, rest)
-            .map_err(|e| corrupt(&path, &format!("invalid V matrix: {e}")))?;
-        let g = DenseMatrix::from_vec(r, r, g_data)
-            .map_err(|e| corrupt(&path, &format!("invalid G matrix: {e}")))?;
-        // The iteration count sits in the last header field (validated by the
-        // checksum like everything else).
-        let iterations = u64::from_le_bytes(
-            body[V_HEADER_LEN - 8..V_HEADER_LEN]
-                .try_into()
-                .expect("8 bytes"),
-        ) as usize;
-        LowRankFactor::from_parts(v, lambda, g, degrees, graph_fp, *config, iterations)
-            .map(Some)
-            .map_err(|e| corrupt(&path, &format!("invalid factor: {e}")))
+        let key = [graph_fp, factor_fingerprint(graph_fp, config)];
+        FACTOR.load(&self.path_for_factor(graph_fp, config), &key, |r| {
+            let (meta, iterations) = factor_header(r)?;
+            let (n, rank) = (meta.nodes, meta.rank);
+            let v = DenseMatrix::from_vec(n, rank, r.f64s(product(n, rank)?)?)
+                .map_err(|e| format!("invalid V matrix: {e}"))?;
+            let lambda = r.f64s(rank)?;
+            let g = DenseMatrix::from_vec(rank, rank, r.f64s(product(rank, rank)?)?)
+                .map_err(|e| format!("invalid G matrix: {e}"))?;
+            LowRankFactor::from_parts(v, lambda, g, r.f64s(n)?, graph_fp, *config, iterations)
+                .map_err(|e| format!("invalid factor: {e}"))
+        })
     }
 
-    /// Delete the persisted low-rank factor for one `(graph, factor config)`
-    /// pair, returning whether a file was removed.
-    pub fn remove_factor(&self, graph_fp: Fingerprint, config: &FactorConfig) -> Result<bool> {
-        let path = self.path_for_factor(graph_fp, config);
-        match fs::remove_file(&path) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(io_err("remove", &path, e)),
-        }
-    }
-
-    /// Delete every store file (including stale `.fgsum.tmp` leftovers), returning
-    /// how many were removed.
+    /// Delete every store file, stale temp files included; returns how many.
     pub fn clear(&self) -> Result<usize> {
         let mut removed = 0;
         for entry in self.entries()? {
-            let path = self.dir.join(&entry.file);
-            fs::remove_file(&path).map_err(|e| io_err("remove", &path, e))?;
-            removed += 1;
+            removed += usize::from(remove_file(&self.dir.join(&entry.file))?);
         }
         Ok(removed)
     }
 
     /// Garbage-collect the store: drop every file older than `max_age` (by
-    /// modification time), then — least-recently-modified first — drop files until
-    /// the directory total is at or below `max_bytes`. Recently used summaries
-    /// survive because every load refreshes nothing but every *save* refreshes the
-    /// mtime; the eviction order is therefore LRU-by-write, with stale temp files
-    /// aging out like any other file. At least one bound must be given. Files that
-    /// vanish mid-collection (a concurrent `clear` or gc) are counted as removed.
+    /// modification time), then drop the least recently written files until the
+    /// total is at or below `max_bytes`. Loads leave mtimes alone, so eviction is
+    /// LRU by write. At least one bound must be given. Files that vanish
+    /// mid-collection (a concurrent `clear` or gc) count as removed.
     pub fn gc(
         &self,
         max_bytes: Option<u64>,
         max_age: Option<std::time::Duration>,
     ) -> Result<GcOutcome> {
         if max_bytes.is_none() && max_age.is_none() {
-            return Err(CoreError::Store(
-                "gc needs at least one bound (max_bytes or max_age)".into(),
-            ));
+            let reason = "gc needs at least one bound (max_bytes or max_age)";
+            return Err(CoreError::Store(reason.into()));
         }
         let now = std::time::SystemTime::now();
-        // Collect (mtime, name, bytes); unreadable metadata sorts oldest so broken
-        // files are evicted first. Ties break on the file name for determinism.
-        let mut files: Vec<(std::time::SystemTime, String, u64)> = self
-            .entries()?
-            .into_iter()
-            .map(|entry| {
-                let mtime = fs::metadata(self.dir.join(&entry.file))
-                    .and_then(|m| m.modified())
-                    .unwrap_or(std::time::UNIX_EPOCH);
-                (mtime, entry.file, entry.bytes)
-            })
-            .collect();
-        files.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-
-        let mut outcome = GcOutcome::default();
-        let mut survivors: Vec<(String, u64)> = Vec::new();
-        for (mtime, file, bytes) in files {
-            let expired = match max_age {
-                Some(age) => now.duration_since(mtime).is_ok_and(|d| d > age),
-                None => false,
-            };
-            if expired {
-                self.remove_for_gc(&file, bytes, &mut outcome)?;
-            } else {
-                survivors.push((file, bytes));
-            }
+        // Unreadable mtimes sort oldest, so broken files go first; names break ties.
+        let mut files = Vec::new();
+        for entry in self.entries()? {
+            let mtime = fs::metadata(self.dir.join(&entry.file)).and_then(|m| m.modified());
+            files.push((
+                mtime.unwrap_or(std::time::UNIX_EPOCH),
+                entry.file,
+                entry.bytes,
+            ));
         }
-        if let Some(cap) = max_bytes {
-            let mut total: u64 = survivors.iter().map(|(_, b)| b).sum();
-            let mut survivors = survivors.into_iter();
-            for (file, bytes) in survivors.by_ref() {
-                if total <= cap {
-                    outcome.kept += 1;
-                    outcome.bytes_kept += bytes;
-                    continue;
-                }
-                self.remove_for_gc(&file, bytes, &mut outcome)?;
+        files.sort();
+
+        // Expired files are a prefix of this order: drop them, then drop more while
+        // the total is over the cap.
+        let mut outcome = GcOutcome::default();
+        let mut total: u64 = files.iter().map(|f| f.2).sum();
+        for (mtime, file, bytes) in files {
+            let expired =
+                max_age.is_some_and(|age| now.duration_since(mtime).is_ok_and(|d| d > age));
+            if expired || max_bytes.is_some_and(|cap| total > cap) {
+                // A file deleted by a concurrent clear/gc still counts as removed.
+                remove_file(&self.dir.join(&file))?;
+                outcome.removed += 1;
+                outcome.bytes_removed += bytes;
                 total -= bytes;
-            }
-        } else {
-            for (_, bytes) in &survivors {
+            } else {
                 outcome.kept += 1;
                 outcome.bytes_kept += bytes;
             }
         }
         Ok(outcome)
     }
-
-    fn remove_for_gc(&self, file: &str, bytes: u64, outcome: &mut GcOutcome) -> Result<()> {
-        let path = self.dir.join(file);
-        match fs::remove_file(&path) {
-            // A file deleted by a concurrent clear/gc still counts as removed.
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(io_err("remove", &path, e)),
-        }
-        outcome.removed += 1;
-        outcome.bytes_removed += bytes;
-        Ok(())
-    }
-}
-
-/// Checksum over the encoded bytes, using the same FNV-1a 128 core as the
-/// fingerprints (domain-tagged so a checksum can never alias a fingerprint).
-fn checksum_of(bytes: &[u8]) -> Fingerprint {
-    let mut h = FingerprintBuilder::new(b"fg-summary-store-v1");
-    h.write_bytes(bytes);
-    h.finish()
-}
-
-/// Checksum over an encoded `H` entry, domain-separated from both the fingerprint
-/// hashes and the summary-store checksum.
-fn h_checksum_of(bytes: &[u8]) -> Fingerprint {
-    let mut h = FingerprintBuilder::new(b"fg-h-store-v1");
-    h.write_bytes(bytes);
-    h.finish()
-}
-
-/// Checksum over an encoded constructed-graph entry, domain-separated from every
-/// other hash in the workspace.
-fn graph_checksum_of(bytes: &[u8]) -> Fingerprint {
-    let mut h = FingerprintBuilder::new(b"fg-graph-store-v1");
-    h.write_bytes(bytes);
-    h.finish()
-}
-
-/// Checksum over an encoded low-rank factor entry, domain-separated from every
-/// other hash in the workspace.
-fn factor_checksum_of(bytes: &[u8]) -> Fingerprint {
-    let mut h = FingerprintBuilder::new(b"fg-v-store-v1");
-    h.write_bytes(bytes);
-    h.finish()
-}
-
-/// Hex digest of an estimator name or builder spec, used only for file naming
-/// (the authoritative name is embedded in the entry and validated on load).
-fn name_digest(name: &str) -> String {
-    let mut h = FingerprintBuilder::new(b"fg-h-store-name-v1");
-    h.write_bytes(name.as_bytes());
-    h.finish().to_hex()
-}
-
-/// Parse and validate an `H`-entry header; returns the metadata and the payload
-/// offset (past the variable-length estimator name). Errors are static
-/// descriptions suitable for [`corrupt`].
-fn parse_h_header(bytes: &[u8]) -> std::result::Result<(HStoreMeta, usize), &'static str> {
-    if bytes.len() < H_HEADER_LEN + CHECKSUM_LEN {
-        return Err("file too short for an estimate header");
-    }
-    if &bytes[0..6] != H_MAGIC {
-        return Err("bad magic bytes");
-    }
-    let version = u16::from_le_bytes(bytes[6..8].try_into().expect("2 bytes"));
-    if version != H_STORE_FORMAT_VERSION {
-        return Err("unsupported format version");
-    }
-    let graph_fp = Fingerprint::from_u128(u128::from_le_bytes(
-        bytes[8..24].try_into().expect("16 bytes"),
-    ));
-    let seed_fp = Fingerprint::from_u128(u128::from_le_bytes(
-        bytes[24..40].try_into().expect("16 bytes"),
-    ));
-    let name_len = u32::from_le_bytes(bytes[40..44].try_into().expect("4 bytes")) as usize;
-    let k = u32::from_le_bytes(bytes[44..48].try_into().expect("4 bytes")) as usize;
-    if k == 0 || name_len == 0 {
-        return Err("header declares an empty estimate");
-    }
-    let payload_start = match H_HEADER_LEN.checked_add(name_len) {
-        Some(end) => end,
-        None => return Err("estimator name length overflows"),
-    };
-    if bytes.len() < payload_start + CHECKSUM_LEN {
-        return Err("file too short for the declared estimator name");
-    }
-    let estimator = std::str::from_utf8(&bytes[H_HEADER_LEN..payload_start])
-        .map_err(|_| "estimator name is not valid UTF-8")?
-        .to_string();
-    Ok((
-        HStoreMeta {
-            graph_fp,
-            seed_fp,
-            estimator,
-            k,
-        },
-        payload_start,
-    ))
-}
-
-/// Parse and validate a constructed-graph header; returns the metadata and the
-/// payload offset (past the variable-length builder spec). Errors are static
-/// descriptions suitable for [`corrupt`].
-fn parse_graph_header(bytes: &[u8]) -> std::result::Result<(GraphStoreMeta, usize), &'static str> {
-    if bytes.len() < G_HEADER_LEN + CHECKSUM_LEN {
-        return Err("file too short for a graph header");
-    }
-    if &bytes[0..6] != G_MAGIC {
-        return Err("bad magic bytes");
-    }
-    let version = u16::from_le_bytes(bytes[6..8].try_into().expect("2 bytes"));
-    if version != GRAPH_STORE_FORMAT_VERSION {
-        return Err("unsupported format version");
-    }
-    let features_fp = Fingerprint::from_u128(u128::from_le_bytes(
-        bytes[8..24].try_into().expect("16 bytes"),
-    ));
-    let name_len = u32::from_le_bytes(bytes[24..28].try_into().expect("4 bytes")) as usize;
-    let nodes = u64::from_le_bytes(bytes[28..36].try_into().expect("8 bytes")) as usize;
-    let edges = u64::from_le_bytes(bytes[36..44].try_into().expect("8 bytes")) as usize;
-    if name_len == 0 {
-        return Err("header declares an empty builder spec");
-    }
-    let payload_start = match G_HEADER_LEN.checked_add(name_len) {
-        Some(end) => end,
-        None => return Err("builder spec length overflows"),
-    };
-    if bytes.len() < payload_start + CHECKSUM_LEN {
-        return Err("file too short for the declared builder spec");
-    }
-    let builder = std::str::from_utf8(&bytes[G_HEADER_LEN..payload_start])
-        .map_err(|_| "builder spec is not valid UTF-8")?
-        .to_string();
-    Ok((
-        GraphStoreMeta {
-            features_fp,
-            builder,
-            nodes,
-            edges,
-        },
-        payload_start,
-    ))
-}
-
-/// Parse and validate a low-rank factor header; returns the metadata and the
-/// payload offset. Errors are static descriptions suitable for [`corrupt`].
-fn parse_factor_header(
-    bytes: &[u8],
-) -> std::result::Result<(FactorStoreMeta, usize), &'static str> {
-    if bytes.len() < V_HEADER_LEN + CHECKSUM_LEN {
-        return Err("file too short for a factor header");
-    }
-    if &bytes[0..6] != V_MAGIC {
-        return Err("bad magic bytes");
-    }
-    let version = u16::from_le_bytes(bytes[6..8].try_into().expect("2 bytes"));
-    if version != FACTOR_STORE_FORMAT_VERSION {
-        return Err("unsupported format version");
-    }
-    let graph_fp = Fingerprint::from_u128(u128::from_le_bytes(
-        bytes[8..24].try_into().expect("16 bytes"),
-    ));
-    let factor_fp = Fingerprint::from_u128(u128::from_le_bytes(
-        bytes[24..40].try_into().expect("16 bytes"),
-    ));
-    let rank = u32::from_le_bytes(bytes[40..44].try_into().expect("4 bytes")) as usize;
-    let nodes = u64::from_le_bytes(bytes[68..76].try_into().expect("8 bytes")) as usize;
-    if rank == 0 || nodes == 0 || rank > nodes {
-        return Err("header declares an impossible rank/node combination");
-    }
-    Ok((
-        FactorStoreMeta {
-            graph_fp,
-            factor_fp,
-            rank,
-            nodes,
-        },
-        V_HEADER_LEN,
-    ))
-}
-
-/// Parse and validate the fixed-size header; returns the metadata and the payload
-/// offset. Errors are static descriptions suitable for [`corrupt`].
-fn parse_header(bytes: &[u8]) -> std::result::Result<(StoreMeta, usize), &'static str> {
-    if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
-        return Err("file too short for a summary header");
-    }
-    if &bytes[0..6] != MAGIC {
-        return Err("bad magic bytes");
-    }
-    let version = u16::from_le_bytes(bytes[6..8].try_into().expect("2 bytes"));
-    if version != STORE_FORMAT_VERSION {
-        return Err("unsupported format version");
-    }
-    let graph_fp = Fingerprint::from_u128(u128::from_le_bytes(
-        bytes[8..24].try_into().expect("16 bytes"),
-    ));
-    let seed_fp = Fingerprint::from_u128(u128::from_le_bytes(
-        bytes[24..40].try_into().expect("16 bytes"),
-    ));
-    let non_backtracking = match bytes[40] {
-        0 => false,
-        1 => true,
-        _ => return Err("invalid counting-mode byte"),
-    };
-    let k = u32::from_le_bytes(bytes[41..45].try_into().expect("4 bytes")) as usize;
-    let max_length = u32::from_le_bytes(bytes[45..49].try_into().expect("4 bytes")) as usize;
-    if k == 0 || max_length == 0 {
-        return Err("header declares an empty summary");
-    }
-    Ok((
-        StoreMeta {
-            graph_fp,
-            seed_fp,
-            non_backtracking,
-            k,
-            max_length,
-        },
-        HEADER_LEN,
-    ))
 }
 
 #[cfg(test)]
@@ -1287,51 +986,23 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_files_are_rejected_loudly() {
-        let store = temp_store("corrupt");
-        let (g, s) = fps();
-        let path = store.save(g, s, true, 2, &sample_counts()).unwrap();
-
-        // Flip one payload byte: checksum must catch it.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = store.load(g, s, true).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
-
-        // Truncation is caught.
-        let good = {
-            store.save(g, s, true, 2, &sample_counts()).unwrap();
-            std::fs::read(&path).unwrap()
-        };
-        std::fs::write(&path, &good[..good.len() - 7]).unwrap();
-        assert!(store.load(g, s, true).is_err());
-
-        // Wrong magic is caught.
-        let mut bad_magic = good.clone();
-        bad_magic[0] = b'X';
-        std::fs::write(&path, &bad_magic).unwrap();
-        let err = store.load(g, s, true).unwrap_err();
-        assert!(err.to_string().contains("magic"), "{err}");
-
-        // A file copied under the wrong name (mismatched fingerprints) is caught.
-        std::fs::write(&path, &good).unwrap();
-        let other = Fingerprint::from_u128(0x9999);
-        let wrong_name = store.path_for(g, other, true);
-        std::fs::copy(&path, &wrong_name).unwrap();
-        let err = store.load(g, other, true).unwrap_err();
-        assert!(err.to_string().contains("fingerprints"), "{err}");
-        std::fs::remove_dir_all(store.dir()).ok();
-    }
-
-    #[test]
     fn save_validates_shapes() {
         let store = temp_store("shapes");
         let (g, s) = fps();
         assert!(store.save(g, s, true, 2, &[]).is_err());
         let wrong = vec![DenseMatrix::zeros(2, 3)];
         assert!(store.save(g, s, true, 2, &wrong).is_err());
+        assert!(store
+            .save_h(g, s, "DCE(l=5)", &DenseMatrix::zeros(2, 3))
+            .is_err());
+        assert!(store.save_h(g, s, "", &DenseMatrix::zeros(2, 2)).is_err());
+        let graph = fg_graph::Graph::from_weighted_edges(3, &[(0, 1, 1.0)]).unwrap();
+        assert!(store.save_graph(g, "", &graph).is_err());
+        // A graph too sparse for its record to describe is refused, not written
+        // for the loader to reject.
+        let sparse = fg_graph::Graph::from_weighted_edges(100_000, &[(0, 1, 1.0)]).unwrap();
+        assert!(store.save_graph(g, "Knn(k=1)", &sparse).is_err());
+        assert!(store.entries().unwrap().is_empty());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1466,54 +1137,6 @@ mod tests {
     }
 
     #[test]
-    fn h_entries_are_validated_loudly() {
-        let store = temp_store("h_corrupt");
-        let (g, s) = fps();
-        let h = DenseMatrix::from_rows(&[vec![0.9, 0.1], vec![0.1, 0.9]]).unwrap();
-        let path = store.save_h(g, s, "DCE(l=5)", &h).unwrap();
-        let good = std::fs::read(&path).unwrap();
-
-        // Flipped payload byte (inside the matrix data, past the embedded name so
-        // the UTF-8 check cannot fire first): checksum catches it.
-        let mut bad = good.clone();
-        let idx = bad.len() - CHECKSUM_LEN - 4;
-        bad[idx] ^= 0xff;
-        std::fs::write(&path, &bad).unwrap();
-        let err = store.load_h(g, s, "DCE(l=5)").unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
-
-        // Truncation is caught.
-        std::fs::write(&path, &good[..good.len() - 5]).unwrap();
-        assert!(store.load_h(g, s, "DCE(l=5)").is_err());
-
-        // Wrong magic is caught.
-        let mut bad_magic = good.clone();
-        bad_magic[0] = b'X';
-        std::fs::write(&path, &bad_magic).unwrap();
-        let err = store.load_h(g, s, "DCE(l=5)").unwrap_err();
-        assert!(err.to_string().contains("magic"), "{err}");
-
-        // A file copied under another key's name (mismatched fingerprints) is caught.
-        std::fs::write(&path, &good).unwrap();
-        let other = Fingerprint::from_u128(0x4242);
-        std::fs::copy(&path, store.path_for_h(g, other, "DCE(l=5)")).unwrap();
-        let err = store.load_h(g, other, "DCE(l=5)").unwrap_err();
-        assert!(err.to_string().contains("fingerprints"), "{err}");
-
-        // A file copied under another estimator's name is caught by the embedded name.
-        std::fs::copy(&path, store.path_for_h(g, s, "DCEr(r=10)")).unwrap();
-        let err = store.load_h(g, s, "DCEr(r=10)").unwrap_err();
-        assert!(err.to_string().contains("estimator name"), "{err}");
-
-        // Shape / key validation on save.
-        assert!(store
-            .save_h(g, s, "DCE(l=5)", &DenseMatrix::zeros(2, 3))
-            .is_err());
-        assert!(store.save_h(g, s, "", &DenseMatrix::zeros(2, 2)).is_err());
-        std::fs::remove_dir_all(store.dir()).ok();
-    }
-
-    #[test]
     fn graph_save_load_round_trip_preserves_the_fingerprint() {
         let store = temp_store("graph_round_trip");
         let features_fp = Fingerprint::from_u128(0xfeed_beef);
@@ -1531,53 +1154,6 @@ mod tests {
         assert_eq!(loaded.num_edges(), 4);
         // A different builder spec is a separate (absent) entry.
         assert!(store.load_graph(features_fp, "Knn(k=3)").unwrap().is_none());
-        // remove_graph deletes exactly the requested entry.
-        assert!(store.remove_graph(features_fp, spec).unwrap());
-        assert!(!store.remove_graph(features_fp, spec).unwrap());
-        std::fs::remove_dir_all(store.dir()).ok();
-    }
-
-    #[test]
-    fn graph_entries_are_validated_listed_and_cleared() {
-        let store = temp_store("graph_corrupt");
-        let features_fp = Fingerprint::from_u128(0xc0ffee);
-        let spec = "SparseReg(k=4,alpha=0.1,iters=50,sym=union)";
-        let graph = fg_graph::Graph::from_weighted_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)]).unwrap();
-        let path = store.save_graph(features_fp, spec, &graph).unwrap();
-        let good = std::fs::read(&path).unwrap();
-
-        // Flipped payload byte (past the embedded spec): checksum catches it.
-        let mut bad = good.clone();
-        let idx = bad.len() - CHECKSUM_LEN - 4;
-        bad[idx] ^= 0xff;
-        std::fs::write(&path, &bad).unwrap();
-        let err = store.load_graph(features_fp, spec).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
-
-        // A file copied under another key's name is caught.
-        std::fs::write(&path, &good).unwrap();
-        let other = Fingerprint::from_u128(0xdead);
-        std::fs::copy(&path, store.path_for_graph(other, spec)).unwrap();
-        let err = store.load_graph(other, spec).unwrap_err();
-        assert!(err.to_string().contains("fingerprints"), "{err}");
-
-        // Entries list the graph with its parsed metadata; clear removes it.
-        let entries = store.entries().unwrap();
-        let g_entry = entries
-            .iter()
-            .find(|e| {
-                e.file.ends_with(&format!(".{GRAPH_STORE_EXTENSION}")) && e.graph_meta.is_some()
-            })
-            .unwrap();
-        let meta = g_entry.graph_meta.as_ref().unwrap();
-        assert_eq!(meta.features_fp, features_fp);
-        assert_eq!(meta.builder, spec);
-        assert_eq!(meta.nodes, 3);
-        assert_eq!(meta.edges, 2);
-        assert_eq!(store.clear().unwrap(), 2);
-        assert!(store.entries().unwrap().is_empty());
-        // Empty builder specs are rejected on save.
-        assert!(store.save_graph(features_fp, "", &graph).is_err());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1603,12 +1179,13 @@ mod tests {
             .iter()
             .find(|e| e.file.ends_with(&format!(".{H_STORE_EXTENSION}")))
             .unwrap();
-        let meta = h_entry.h_meta.as_ref().unwrap();
+        let Some(EntryMeta::H(meta)) = &h_entry.meta else {
+            panic!("{h_entry:?}");
+        };
         assert_eq!(meta.graph_fp, g);
         assert_eq!(meta.seed_fp, s);
         assert_eq!(meta.estimator, "LCE(l=3)");
         assert_eq!(meta.k, 2);
-        assert!(h_entry.meta.is_none());
 
         // gc with max-bytes 0 removes `.fgh` files alongside `.fgsum`.
         let outcome = store.gc(Some(0), None).unwrap();
@@ -1645,71 +1222,438 @@ mod tests {
             .load_factor(graph.fingerprint(), &FactorConfig::with_rank(3))
             .unwrap()
             .is_none());
-        // remove_factor deletes exactly the requested entry.
-        assert!(store.remove_factor(graph.fingerprint(), &config).unwrap());
-        assert!(!store.remove_factor(graph.fingerprint(), &config).unwrap());
-        assert!(store
-            .load_factor(graph.fingerprint(), &config)
-            .unwrap()
-            .is_none());
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    /// Pins the on-disk format: one small fixed record per kind, checked by exact
+    /// file name and exact bytes. Any change here is a format change and needs a
+    /// version bump plus a reader test for the old version.
+    #[test]
+    fn golden_bytes_pin_every_record_kind() {
+        let store = temp_store("golden");
+        let hex = |path: &Path| {
+            let bytes = std::fs::read(path).unwrap();
+            bytes.iter().map(|b| format!("{b:02x}")).collect::<String>()
+        };
+        let name = |path: &Path| path.file_name().unwrap().to_string_lossy().into_owned();
+        let (g, s) = fps();
+
+        let counts = [DenseMatrix::from_rows(&[vec![1.0, 2.5], vec![-0.0, 1e-300]]).unwrap()];
+        let path = store.save(g, s, true, 2, &counts).unwrap();
+        assert_eq!(
+            name(&path),
+            "000000000000000000000000abcd1234-0000000000000000000000005678def0-nb.fgsum"
+        );
+        assert_eq!(
+            hex(&path),
+            concat!(
+                "464753554d4d01003412cdab000000000000000000000000f0de785600000000",
+                "0000000000000000010200000001000000000000000000f03f00000000000004",
+                "40000000000000008059f3f8c21f6ea501870c218f6bb9a456c4a6316833d708",
+                "80",
+            )
+        );
+
+        let h = DenseMatrix::from_rows(&[vec![0.75, 0.25], vec![0.25, 0.75]]).unwrap();
+        let path = store.save_h(g, s, "DCE(l=5)", &h).unwrap();
+        assert_eq!(
+            name(&path),
+            concat!(
+                "000000000000000000000000abcd1234-0000000000000000000000005678def0-",
+                "8c22373a2685e29742b011db71542c00.fgh",
+            )
+        );
+        assert_eq!(
+            hex(&path),
+            concat!(
+                "46474845535401003412cdab000000000000000000000000f0de785600000000",
+                "00000000000000000800000002000000444345286c3d3529000000000000e83f",
+                "000000000000d03f000000000000d03f000000000000e83f4ce8e07177b50160",
+                "6edf70a0775cd832",
+            )
+        );
+
+        let graph = fg_graph::Graph::from_weighted_edges(3, &[(0, 1, 0.5), (1, 2, 2.0)]).unwrap();
+        let path = store
+            .save_graph(Fingerprint::from_u128(0xfeed), "Knn(k=1)", &graph)
+            .unwrap();
+        assert_eq!(
+            name(&path),
+            "0000000000000000000000000000feed-8067fa334785e2afc0ab9d51f9713b6c.fgg"
+        );
+        assert_eq!(
+            hex(&path),
+            concat!(
+                "4647475250480100edfe00000000000000000000000000000800000003000000",
+                "0000000002000000000000004b6e6e286b3d3129000000000000000001000000",
+                "00000000000000000000e03f0100000000000000020000000000000000000000",
+                "000000405c29e810f012df3703586f9b16a09899",
+            )
+        );
+
+        let config = FactorConfig {
+            rank: 1,
+            max_iter: 50,
+            tol: 1e-6,
+            seed: 7,
+        };
+        let factor = LowRankFactor::from_parts(
+            DenseMatrix::from_rows(&[vec![0.6], vec![-0.8]]).unwrap(),
+            vec![1.5],
+            DenseMatrix::from_rows(&[vec![0.25]]).unwrap(),
+            vec![1.0, 3.0],
+            g,
+            config,
+            9,
+        )
+        .unwrap();
+        let path = store.save_factor(&factor).unwrap();
+        assert_eq!(
+            name(&path),
+            "000000000000000000000000abcd1234-5d0528d3224700face4cd0eb0dec88e7.fgv"
+        );
+        assert_eq!(
+            hex(&path),
+            concat!(
+                "46475646414301003412cdab000000000000000000000000e788ec0debd04cce",
+                "fa004722d328055d0100000032000000000000008dedb5a0f7c6b03e07000000",
+                "0000000002000000000000000900000000000000333333333333e33f9a999999",
+                "9999e9bf000000000000f83f000000000000d03f000000000000f03f00000000",
+                "0000084015c93c2d82668c47b52cbee239e10768",
+            )
+        );
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    type Load = Box<dyn Fn() -> Result<bool>>;
+
+    /// One saved record of a kind, plus what the corruption tests need to address
+    /// it: its checksum domain, its header integer fields, a loader for its key
+    /// that reports only whether a record was found, and keys a copy of it can be
+    /// misfiled under.
+    struct Fixture {
+        path: PathBuf,
+        domain: &'static [u8],
+        /// What rejection messages call this kind.
+        noun: &'static str,
+        /// `(offset, width)` of every header integer field.
+        header_fields: &'static [(usize, usize)],
+        load: Load,
+        /// The header a listing must report for the record.
+        meta: EntryMeta,
+        /// `(path of another key, loader for that key, expected rejection)`.
+        misfiled: Vec<(PathBuf, Load, &'static str)>,
+    }
+
+    fn loader<T>(
+        store: &SummaryStore,
+        load: impl Fn(&SummaryStore) -> Result<Option<T>> + 'static,
+    ) -> Load {
+        let store = store.clone();
+        Box::new(move || load(&store).map(|found| found.is_some()))
+    }
+
+    fn fixture_factor() -> LowRankFactor {
+        let v = DenseMatrix::from_rows(&[vec![0.6, 0.0], vec![-0.8, 0.0], vec![0.0, 1.0]]).unwrap();
+        let g = DenseMatrix::from_rows(&[vec![0.25, 0.0], vec![0.0, -1.0]]).unwrap();
+        let config = FactorConfig {
+            rank: 2,
+            max_iter: 50,
+            tol: 1e-6,
+            seed: 7,
+        };
+        let graph_fp = Fingerprint::from_u128(0x0bad_cafe);
+        LowRankFactor::from_parts(
+            v,
+            vec![1.5, -0.5],
+            g,
+            vec![1.0, 3.0, 2.0],
+            graph_fp,
+            config,
+            9,
+        )
+        .unwrap()
+    }
+
+    /// Save one record of every kind into `store`.
+    fn fixtures(store: &SummaryStore) -> Vec<Fixture> {
+        let (g, s) = fps();
+        let other = Fingerprint::from_u128(0x4242);
+        let h = DenseMatrix::from_rows(&[vec![0.9, 0.1], vec![0.1, 0.9]]).unwrap();
+        let graph = fg_graph::Graph::from_weighted_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)]).unwrap();
+        let features = Fingerprint::from_u128(0xc0ffee);
+        let spec = "SparseReg(k=4,alpha=0.1,iters=50,sym=union)";
+        let factor = fixture_factor();
+        let (factor_graph, config) = (factor.graph_fingerprint(), *factor.config());
+        let other_config = FactorConfig {
+            seed: 0x1234,
+            ..config
+        };
+        vec![
+            Fixture {
+                path: store.save(g, s, true, 2, &sample_counts()).unwrap(),
+                domain: b"fg-summary-store-v1",
+                noun: "summary",
+                header_fields: &[(6, 2), (40, 1), (41, 4), (45, 4)],
+                load: loader(store, move |st| st.load(g, s, true)),
+                meta: EntryMeta::Summary(StoreMeta {
+                    graph_fp: g,
+                    seed_fp: s,
+                    non_backtracking: true,
+                    k: 2,
+                    max_length: 2,
+                }),
+                misfiled: vec![
+                    (
+                        store.path_for(g, other, true),
+                        loader(store, move |st| st.load(g, other, true)),
+                        "fingerprints",
+                    ),
+                    (
+                        store.path_for(g, s, false),
+                        loader(store, move |st| st.load(g, s, false)),
+                        "counting mode",
+                    ),
+                ],
+            },
+            Fixture {
+                path: store.save_h(g, s, "DCE(l=5)", &h).unwrap(),
+                domain: b"fg-h-store-v1",
+                noun: "H-estimate",
+                header_fields: &[(6, 2), (40, 4), (44, 4)],
+                load: loader(store, move |st| st.load_h(g, s, "DCE(l=5)")),
+                meta: EntryMeta::H(HStoreMeta {
+                    graph_fp: g,
+                    seed_fp: s,
+                    estimator: "DCE(l=5)".into(),
+                    k: 2,
+                }),
+                misfiled: vec![
+                    (
+                        store.path_for_h(g, other, "DCE(l=5)"),
+                        loader(store, move |st| st.load_h(g, other, "DCE(l=5)")),
+                        "fingerprints",
+                    ),
+                    (
+                        store.path_for_h(g, s, "DCEr(r=10)"),
+                        loader(store, move |st| st.load_h(g, s, "DCEr(r=10)")),
+                        "estimator name",
+                    ),
+                ],
+            },
+            Fixture {
+                path: store.save_graph(features, spec, &graph).unwrap(),
+                domain: b"fg-graph-store-v1",
+                noun: "constructed-graph",
+                header_fields: &[(6, 2), (24, 4), (28, 8), (36, 8)],
+                load: loader(store, move |st| st.load_graph(features, spec)),
+                meta: EntryMeta::Graph(GraphStoreMeta {
+                    features_fp: features,
+                    builder: spec.into(),
+                    nodes: 3,
+                    edges: 2,
+                }),
+                misfiled: vec![
+                    (
+                        store.path_for_graph(other, spec),
+                        loader(store, move |st| st.load_graph(other, spec)),
+                        "fingerprints",
+                    ),
+                    (
+                        store.path_for_graph(features, "Knn(k=3)"),
+                        loader(store, move |st| st.load_graph(features, "Knn(k=3)")),
+                        "builder spec",
+                    ),
+                ],
+            },
+            Fixture {
+                path: store.save_factor(&factor).unwrap(),
+                domain: b"fg-v-store-v1",
+                noun: "low-rank factor",
+                header_fields: &[(6, 2), (40, 4), (44, 8), (52, 8), (60, 8), (68, 8), (76, 8)],
+                load: loader(store, move |st| st.load_factor(factor_graph, &config)),
+                meta: EntryMeta::Factor(FactorStoreMeta {
+                    graph_fp: factor_graph,
+                    factor_fp: factor.fingerprint(),
+                    rank: 2,
+                    nodes: 3,
+                }),
+                misfiled: vec![
+                    (
+                        store.path_for_factor(other, &config),
+                        loader(store, move |st| st.load_factor(other, &config)),
+                        "fingerprints",
+                    ),
+                    (
+                        store.path_for_factor(factor_graph, &other_config),
+                        loader(store, move |st| st.load_factor(factor_graph, &other_config)),
+                        "fingerprints",
+                    ),
+                ],
+            },
+        ]
+    }
+
+    /// Corrupt the record of kind `kind` (an index into [`fixtures`]) by a
+    /// flipped byte, a truncation and a wrong magic, and file it under other
+    /// keys' names: every load must fail loudly. Then the listing must report
+    /// its header and a clear must remove every record.
+    fn assert_corrupt_and_misfiled_rejected(store_name: &str, kind: usize) {
+        let store = temp_store(store_name);
+        let fixtures = fixtures(&store);
+        let fixture = &fixtures[kind];
+        let good = std::fs::read(&fixture.path).unwrap();
+        // The flipped byte sits in the data, past any embedded name, so no
+        // header check can fire before the checksum.
+        let mut flipped = good.clone();
+        flipped[good.len() - CHECKSUM_LEN - 4] ^= 0xff;
+        let mut bad_magic = good.clone();
+        bad_magic[0] = b'X';
+        let truncated = &good[..good.len() - 5];
+        let prefix = format!("rejecting corrupt {} file", fixture.noun);
+        for (bytes, reason) in [
+            (&flipped[..], "checksum"),
+            (truncated, ""),
+            (&bad_magic, "magic"),
+        ] {
+            std::fs::write(&fixture.path, bytes).unwrap();
+            let err = (fixture.load)().unwrap_err().to_string();
+            assert!(err.contains(&prefix) && err.contains(reason), "{err}");
+        }
+        std::fs::write(&fixture.path, &good).unwrap();
+        assert!((fixture.load)().unwrap(), "{}", fixture.path.display());
+        // A valid record copied under another key's file name is caught by its
+        // embedded key.
+        for (path, load, reason) in &fixture.misfiled {
+            std::fs::copy(&fixture.path, path).unwrap();
+            let err = load().unwrap_err().to_string();
+            assert!(err.contains(&prefix) && err.contains(reason), "{err}");
+            std::fs::remove_file(path).unwrap();
+        }
+        // The listing parses the record's header; clear removes every record.
+        let entries = store.entries().unwrap();
+        assert_eq!(entries.len(), fixtures.len());
+        let listed = entries
+            .iter()
+            .any(|e| e.meta.as_ref() == Some(&fixture.meta));
+        assert!(listed, "{:?} missing from {entries:?}", fixture.meta);
+        assert_eq!(store.clear().unwrap(), fixtures.len());
+        assert!(store.entries().unwrap().is_empty());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
     #[test]
+    fn corrupt_files_are_rejected_loudly() {
+        assert_corrupt_and_misfiled_rejected("corrupt", 0);
+    }
+
+    #[test]
+    fn h_entries_are_validated_loudly() {
+        assert_corrupt_and_misfiled_rejected("h_corrupt", 1);
+    }
+
+    #[test]
+    fn graph_entries_are_validated_listed_and_cleared() {
+        assert_corrupt_and_misfiled_rejected("graph_corrupt", 2);
+    }
+
+    #[test]
     fn factor_entries_are_validated_listed_and_cleared() {
-        let store = temp_store("factor_corrupt");
-        let graph =
-            fg_graph::Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
-        let config = FactorConfig::with_rank(3);
-        let factor = LowRankFactor::compute(&graph, &config, fg_sparse::Threads::Serial).unwrap();
-        let path = store.save_factor(&factor).unwrap();
-        let good = std::fs::read(&path).unwrap();
+        assert_corrupt_and_misfiled_rejected("factor_corrupt", 3);
+    }
 
-        // Flipped payload byte: checksum catches it.
-        let mut bad = good.clone();
-        let idx = bad.len() - CHECKSUM_LEN - 4;
-        bad[idx] ^= 0xff;
-        std::fs::write(&path, &bad).unwrap();
-        let err = store.load_factor(graph.fingerprint(), &config).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
+    /// Replace the trailing checksum with a valid one for `domain`, so a mutated
+    /// record gets past the checksum and reaches the body decoder.
+    fn reseal(bytes: &mut Vec<u8>, domain: &[u8]) {
+        bytes.truncate(bytes.len().saturating_sub(16));
+        let mut h = FingerprintBuilder::new(domain);
+        h.write_bytes(bytes);
+        bytes.extend_from_slice(&h.finish().as_u128().to_le_bytes());
+    }
 
-        // Truncation is caught.
-        std::fs::write(&path, &good[..good.len() - 5]).unwrap();
-        assert!(store.load_factor(graph.fingerprint(), &config).is_err());
+    #[test]
+    fn hostile_headers_with_valid_checksums_are_rejected_not_panics() {
+        // Each record gets one oversized size field and a payload cut to the
+        // length that the field's unchecked size product wraps to, so only
+        // checked arithmetic stands between the file and a panic.
+        let store = temp_store("hostile");
+        let hostile: [(usize, u64, usize); 4] = [
+            (41, 1 << 31, 49),      // .fgsum k = 2^31, empty payload
+            (44, 1 << 31, 48 + 8),  // .fgh k = 2^31, empty payload
+            (36, 1 << 61, 44 + 43), // .fgg edges = 2^61, empty payload
+            (68, 1 << 61, 84 + 48), // .fgv nodes = 2^61, six values
+        ];
+        for (fixture, (offset, value, keep)) in fixtures(&store).into_iter().zip(hostile) {
+            let mut bytes = std::fs::read(&fixture.path).unwrap();
+            let width = fixture
+                .header_fields
+                .iter()
+                .find(|&&(o, _)| o == offset)
+                .unwrap()
+                .1;
+            bytes[offset..offset + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            bytes.truncate(keep);
+            bytes.extend_from_slice(&[0; 16]);
+            reseal(&mut bytes, fixture.domain);
+            std::fs::write(&fixture.path, &bytes).unwrap();
+            match (fixture.load)() {
+                Err(CoreError::Store(_)) => {}
+                other => panic!(
+                    "{}: expected a store error, got {other:?}",
+                    fixture.path.display()
+                ),
+            }
+        }
+        assert_eq!(store.entries().unwrap().len(), 4);
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
 
-        // Wrong magic is caught.
-        let mut bad_magic = good.clone();
-        bad_magic[0] = b'X';
-        std::fs::write(&path, &bad_magic).unwrap();
-        let err = store.load_factor(graph.fingerprint(), &config).unwrap_err();
-        assert!(err.to_string().contains("magic"), "{err}");
-
-        // A file copied under another solver config's name is caught by the
-        // embedded factor fingerprint.
-        std::fs::write(&path, &good).unwrap();
-        let other = FactorConfig {
-            seed: 0x1234,
-            ..config
-        };
-        std::fs::copy(&path, store.path_for_factor(graph.fingerprint(), &other)).unwrap();
-        let err = store.load_factor(graph.fingerprint(), &other).unwrap_err();
-        assert!(err.to_string().contains("factor fingerprint"), "{err}");
-
-        // Entries list the factor with its parsed metadata; clear removes it.
-        let entries = store.entries().unwrap();
-        let f_entry = entries
-            .iter()
-            .find(|e| {
-                e.file.ends_with(&format!(".{FACTOR_STORE_EXTENSION}")) && e.factor_meta.is_some()
-            })
-            .unwrap();
-        let meta = f_entry.factor_meta.as_ref().unwrap();
-        assert_eq!(meta.graph_fp, graph.fingerprint());
-        assert_eq!(meta.factor_fp, factor.fingerprint());
-        assert_eq!(meta.rank, 3);
-        assert_eq!(meta.nodes, 5);
-        assert!(store.clear().unwrap() >= 2);
-        assert!(store.entries().unwrap().is_empty());
+    #[test]
+    fn seeded_mutations_never_panic_a_loader_or_the_listing() {
+        use rand::{Rng, SeedableRng};
+        let store = temp_store("mutations");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let hostile_values = [0, 1, 1 << 31, 1 << 61, u64::MAX];
+        for fixture in fixtures(&store) {
+            let good = std::fs::read(&fixture.path).unwrap();
+            for _ in 0..300 {
+                let mut bytes = good.clone();
+                for _ in 0..1 + rng.gen_index(2) {
+                    match rng.gen_index(4) {
+                        0 => {
+                            let bit = rng.gen_index(bytes.len() * 8);
+                            bytes[bit / 8] ^= 1 << (bit % 8);
+                        }
+                        1 => bytes.truncate(rng.gen_index(bytes.len())),
+                        2 => {
+                            bytes.extend((0..1 + rng.gen_index(32)).map(|_| rng.gen::<u32>() as u8))
+                        }
+                        _ => {
+                            let (offset, width) =
+                                fixture.header_fields[rng.gen_index(fixture.header_fields.len())];
+                            let value = hostile_values[rng.gen_index(hostile_values.len())];
+                            if offset + width <= bytes.len() {
+                                bytes[offset..offset + width]
+                                    .copy_from_slice(&u64::to_le_bytes(value)[..width]);
+                            }
+                        }
+                    }
+                    if bytes.is_empty() {
+                        break;
+                    }
+                }
+                // Most mutants are resealed so they reach the body decoder; the
+                // rest exercise the checksum path.
+                if rng.gen_index(8) != 0 {
+                    reseal(&mut bytes, fixture.domain);
+                }
+                std::fs::write(&fixture.path, &bytes).unwrap();
+                let _ = (fixture.load)();
+                store.entries().unwrap();
+            }
+            std::fs::write(&fixture.path, &good).unwrap();
+            assert!((fixture.load)().unwrap(), "{}", fixture.path.display());
+        }
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1735,7 +1679,9 @@ mod tests {
         let parsed: Vec<_> = entries.iter().filter(|e| e.meta.is_some()).collect();
         assert_eq!(parsed.len(), 2);
         for entry in &parsed {
-            let meta = entry.meta.as_ref().unwrap();
+            let Some(EntryMeta::Summary(meta)) = &entry.meta else {
+                panic!("{entry:?}");
+            };
             assert_eq!(meta.graph_fp, g);
             assert_eq!(meta.seed_fp, s);
             assert_eq!(meta.k, 2);

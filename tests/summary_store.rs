@@ -67,7 +67,9 @@ fn concurrent_prefix_upgrades_by_two_sessions_leave_a_valid_store() {
     // the two lengths bit-identically, and no temp files are stranded.
     let entries = store.entries().unwrap();
     assert_eq!(entries.len(), 1, "{entries:?}");
-    let meta = entries[0].meta.as_ref().expect("file is valid");
+    let Some(EntryMeta::Summary(meta)) = &entries[0].meta else {
+        panic!("file is valid")
+    };
     assert!(meta.max_length == 2 || meta.max_length == 6, "{meta:?}");
     let loaded = store
         .load(graph.fingerprint(), seeds.fingerprint(), true)
