@@ -13,8 +13,12 @@
 //!   the graph.
 
 use crate::error::{CoreError, Result};
-use crate::param::{free_to_matrix, num_free_parameters, project_gradient};
+use crate::param::{
+    free_to_matrix, free_to_matrix_into, num_free_parameters, project_gradient,
+    project_gradient_slice,
+};
 use fg_sparse::DenseMatrix;
+use std::cell::RefCell;
 
 /// A differentiable scalar objective over the free parameters of a compatibility matrix.
 pub trait EnergyFunction {
@@ -99,11 +103,69 @@ impl EnergyFunction for MceEnergy {
 
 /// The distance-smoothed energy `E(H) = Σ_ℓ w_ℓ ||Hℓ − P̂(ℓ)||²` (Eq. 13/14) with the
 /// explicit gradient of Proposition 4.7.
+///
+/// Evaluation runs on flat row-major `k·k` slices carved out of one per-thread
+/// workspace, which grows to the largest `k` and `ℓmax` a thread has seen and is then
+/// reused: the gradient needs `H`, the powers `H⁰ … H^(2ℓmax−1)` and four scratch
+/// matrices, and allocates nothing but the returned vector. The optimizer calls it
+/// thousands of times per estimate, so a `DenseMatrix` per power, product, difference
+/// and scale would cost more than the arithmetic.
+///
+/// The workspace kernel is bit-identical to the `DenseMatrix` formulation: it performs
+/// the same floating-point operations in the same order — `matmul`'s `i-l-j` loop that
+/// skips zero left entries, `term − middle` for `r = 0 … ℓ−1`, `g + term·(2w)`, and the
+/// iterator sum of the Frobenius distance. A test keeps the allocating formulation as a
+/// reference and compares the bits, so any reordering is a test failure.
 #[derive(Debug, Clone)]
 pub struct DceEnergy {
     statistics: Vec<DenseMatrix>,
     weights: Vec<f64>,
     k: usize,
+}
+
+thread_local! {
+    /// Scratch for [`DceEnergy`] evaluations on this thread.
+    static DCE_WORKSPACE: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on the first `len` entries of this thread's DCE workspace.
+fn with_workspace<T>(len: usize, f: impl FnOnce(&mut [f64]) -> T) -> T {
+    DCE_WORKSPACE.with(|workspace| {
+        let mut workspace = workspace.borrow_mut();
+        if workspace.len() < len {
+            workspace.resize(len, 0.0);
+        }
+        f(&mut workspace[..len])
+    })
+}
+
+/// `out = a · b` for row-major `k × k` slices: [`DenseMatrix::matmul`]'s `i-l-j` loop,
+/// zero left entries skipped, so the bits match.
+fn matmul_into(a: &[f64], b: &[f64], out: &mut [f64], k: usize) {
+    out.fill(0.0);
+    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(k)) {
+        for (&a_il, b_row) in a_row.iter().zip(b.chunks_exact(k)) {
+            if a_il == 0.0 {
+                continue;
+            }
+            for (o, &b_lj) in out_row.iter_mut().zip(b_row) {
+                *o += a_il * b_lj;
+            }
+        }
+    }
+}
+
+/// Write the `k × k` identity into `out`.
+fn identity_into(out: &mut [f64], k: usize) {
+    out.fill(0.0);
+    for i in 0..k {
+        out[i * k + i] = 1.0;
+    }
+}
+
+/// `||a − b||²`, summed like [`DenseMatrix::frobenius_distance_sq`].
+fn distance_sq(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
 }
 
 impl DceEnergy {
@@ -124,6 +186,11 @@ impl DceEnergy {
             )));
         }
         let k = statistics[0].rows();
+        if k == 0 {
+            return Err(CoreError::InvalidInput(
+                "statistics matrices must have at least one class".into(),
+            ));
+        }
         for s in &statistics {
             if !s.is_square() || s.rows() != k {
                 return Err(CoreError::InvalidInput(
@@ -163,13 +230,31 @@ impl DceEnergy {
 
     /// Energy of an explicit matrix (used for diagnostics / tests).
     pub fn value_of_matrix(&self, h: &DenseMatrix) -> Result<f64> {
-        let mut energy = 0.0;
-        let mut power = DenseMatrix::identity(self.k);
-        for (stat, &w) in self.statistics.iter().zip(self.weights.iter()) {
-            power = power.matmul(h)?;
-            energy += w * power.frobenius_distance_sq(stat)?;
+        let k = self.k;
+        if h.shape() != (k, k) {
+            return Err(CoreError::InvalidInput(format!(
+                "compatibility matrix must be {k}x{k}, got {}x{}",
+                h.rows(),
+                h.cols()
+            )));
         }
-        Ok(energy)
+        Ok(with_workspace(2 * k * k, |workspace| {
+            self.value_in(h.data(), workspace)
+        }))
+    }
+
+    /// The energy at the row-major matrix `h`, using `2·k²` entries of `workspace`.
+    fn value_in(&self, h: &[f64], workspace: &mut [f64]) -> f64 {
+        let k = self.k;
+        let (mut power, mut next) = workspace.split_at_mut(k * k);
+        identity_into(power, k);
+        let mut energy = 0.0;
+        for (stat, &w) in self.statistics.iter().zip(&self.weights) {
+            matmul_into(power, h, next, k);
+            std::mem::swap(&mut power, &mut next);
+            energy += w * distance_sq(power, stat.data());
+        }
+        energy
     }
 }
 
@@ -180,33 +265,55 @@ impl EnergyFunction for DceEnergy {
 
     fn value(&self, free: &[f64]) -> Result<f64> {
         check_dimensions(self.k, free)?;
-        let h = free_to_matrix(free, self.k)?;
-        self.value_of_matrix(&h)
+        let k2 = self.k * self.k;
+        Ok(with_workspace(3 * k2, |workspace| {
+            let (h, rest) = workspace.split_at_mut(k2);
+            free_to_matrix_into(free, self.k, h);
+            self.value_in(h, rest)
+        }))
     }
 
     fn gradient(&self, free: &[f64]) -> Result<Vec<f64>> {
         check_dimensions(self.k, free)?;
-        let h = free_to_matrix(free, self.k)?;
+        let k = self.k;
+        let k2 = k * k;
         let lmax = self.max_length();
-        // Precompute H^0 .. H^(2·ℓmax - 1).
-        let mut powers = Vec::with_capacity(2 * lmax);
-        powers.push(DenseMatrix::identity(self.k));
-        for p in 1..2 * lmax {
-            let next = powers[p - 1].matmul(&h)?;
-            powers.push(next);
-        }
-        // G = Σ_ℓ 2 w_ℓ (ℓ H^(2ℓ-1) − Σ_{r=0}^{ℓ-1} H^r P̂(ℓ) H^(ℓ-1-r)).
-        let mut g = DenseMatrix::zeros(self.k, self.k);
-        for (idx, (stat, &w)) in self.statistics.iter().zip(self.weights.iter()).enumerate() {
-            let ell = idx + 1;
-            let mut term = powers[2 * ell - 1].scaled(ell as f64);
-            for r in 0..ell {
-                let middle = powers[r].matmul(stat)?.matmul(&powers[ell - 1 - r])?;
-                term = term.sub(&middle)?;
+        // Layout: H, the powers H^0 .. H^(2·ℓmax - 1), then four scratch matrices.
+        Ok(with_workspace((2 * lmax + 5) * k2, |workspace| {
+            let (h, rest) = workspace.split_at_mut(k2);
+            free_to_matrix_into(free, k, h);
+            let (powers, rest) = rest.split_at_mut(2 * lmax * k2);
+            let (left, rest) = rest.split_at_mut(k2);
+            let (middle, rest) = rest.split_at_mut(k2);
+            let (term, g) = rest.split_at_mut(k2);
+            identity_into(&mut powers[..k2], k);
+            for p in 1..2 * lmax {
+                let (done, next) = powers.split_at_mut(p * k2);
+                matmul_into(&done[(p - 1) * k2..], h, &mut next[..k2], k);
             }
-            g = g.add(&term.scaled(2.0 * w))?;
-        }
-        project_gradient(&g)
+            let power = |p: usize| &powers[p * k2..(p + 1) * k2];
+            // G = Σ_ℓ 2 w_ℓ (ℓ H^(2ℓ-1) − Σ_{r=0}^{ℓ-1} H^r P̂(ℓ) H^(ℓ-1-r)).
+            g.fill(0.0);
+            for (idx, (stat, &w)) in self.statistics.iter().zip(&self.weights).enumerate() {
+                let ell = idx + 1;
+                let scale = ell as f64;
+                for (t, &x) in term.iter_mut().zip(power(2 * ell - 1)) {
+                    *t = x * scale;
+                }
+                for r in 0..ell {
+                    matmul_into(power(r), stat.data(), left, k);
+                    matmul_into(left, power(ell - 1 - r), middle, k);
+                    for (t, &m) in term.iter_mut().zip(middle.iter()) {
+                        *t -= m;
+                    }
+                }
+                let scale = 2.0 * w;
+                for (gi, &t) in g.iter_mut().zip(term.iter()) {
+                    *gi += t * scale;
+                }
+            }
+            project_gradient_slice(g, k)
+        }))
     }
 }
 
@@ -377,6 +484,7 @@ mod tests {
         assert!(DceEnergy::new(vec![h.clone()], vec![-1.0]).is_err());
         assert!(DceEnergy::new(vec![h.clone()], vec![0.0]).is_err());
         assert!(DceEnergy::new(vec![DenseMatrix::zeros(2, 3)], vec![1.0]).is_err());
+        assert!(DceEnergy::new(vec![DenseMatrix::zeros(0, 0)], vec![1.0]).is_err());
         // mixed sizes
         assert!(DceEnergy::new(vec![h, DenseMatrix::zeros(2, 2)], vec![1.0, 1.0]).is_err());
     }
@@ -428,6 +536,109 @@ mod tests {
         let x = DenseMatrix::zeros(4, 2);
         let wx = DenseMatrix::zeros(3, 2);
         assert!(LceEnergy::new(x, wx).is_err());
+    }
+
+    /// The allocating `DenseMatrix` formulation of the DCE energy and its gradient,
+    /// kept as the reference the workspace kernel must match bit for bit.
+    mod reference {
+        use super::*;
+
+        pub fn value(energy: &DceEnergy, free: &[f64]) -> f64 {
+            let h = free_to_matrix(free, energy.k).unwrap();
+            let mut value = 0.0;
+            let mut power = DenseMatrix::identity(energy.k);
+            for (stat, &w) in energy.statistics.iter().zip(energy.weights.iter()) {
+                power = power.matmul(&h).unwrap();
+                value += w * power.frobenius_distance_sq(stat).unwrap();
+            }
+            value
+        }
+
+        pub fn gradient(energy: &DceEnergy, free: &[f64]) -> Vec<f64> {
+            let h = free_to_matrix(free, energy.k).unwrap();
+            let lmax = energy.max_length();
+            let mut powers = vec![DenseMatrix::identity(energy.k)];
+            for p in 1..2 * lmax {
+                let next = powers[p - 1].matmul(&h).unwrap();
+                powers.push(next);
+            }
+            let mut g = DenseMatrix::zeros(energy.k, energy.k);
+            for (idx, (stat, &w)) in energy.statistics.iter().zip(&energy.weights).enumerate() {
+                let ell = idx + 1;
+                let mut term = powers[2 * ell - 1].scaled(ell as f64);
+                for r in 0..ell {
+                    let middle = powers[r]
+                        .matmul(stat)
+                        .unwrap()
+                        .matmul(&powers[ell - 1 - r])
+                        .unwrap();
+                    term = term.sub(&middle).unwrap();
+                }
+                g = g.add(&term.scaled(2.0 * w)).unwrap();
+            }
+            project_gradient(&g).unwrap()
+        }
+    }
+
+    /// A value drawn near `centre`, exactly zero (either sign) one time in five so
+    /// the kernel's zero-skip branch and signed-zero arithmetic are exercised.
+    fn sample(rng: &mut rand::rngs::StdRng, centre: f64, spread: f64) -> f64 {
+        use rand::Rng;
+        match rng.gen_index(10) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => centre + spread * (rng.gen::<f64>() - 0.5),
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn dce_kernel_is_bit_identical_to_the_allocating_reference() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0dce);
+        let mut cases = 0;
+        for k in [2usize, 3, 5, 7] {
+            for lmax in [1usize, 2, 5, 8] {
+                for lambda in [1.0, 10.0] {
+                    for _ in 0..4 {
+                        let statistics: Vec<DenseMatrix> = (0..lmax)
+                            .map(|_| {
+                                let data = (0..k * k)
+                                    .map(|_| sample(&mut rng, 1.0 / k as f64, 1.0 / k as f64))
+                                    .collect();
+                                DenseMatrix::from_vec(k, k, data).unwrap()
+                            })
+                            .collect();
+                        let energy = DceEnergy::with_lambda(statistics, lambda).unwrap();
+                        let free: Vec<f64> = (0..num_free_parameters(k))
+                            .map(|_| sample(&mut rng, 1.0 / k as f64, 0.6))
+                            .collect();
+                        let context = format!("k={k} lmax={lmax} lambda={lambda} free={free:?}");
+                        assert_eq!(
+                            energy.value(&free).unwrap().to_bits(),
+                            reference::value(&energy, &free).to_bits(),
+                            "value, {context}"
+                        );
+                        let h = free_to_matrix(&free, k).unwrap();
+                        assert_eq!(
+                            energy.value_of_matrix(&h).unwrap().to_bits(),
+                            reference::value(&energy, &free).to_bits(),
+                            "value_of_matrix, {context}"
+                        );
+                        assert_eq!(
+                            bits(&energy.gradient(&free).unwrap()),
+                            bits(&reference::gradient(&energy, &free)),
+                            "gradient, {context}"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 128);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::context::EstimationContext;
 use crate::energy::DceEnergy;
 use crate::error::{CoreError, Result};
 use crate::normalization::NormalizationVariant;
-use crate::optimize::{minimize, GradientDescentConfig};
+use crate::optimize::{minimize, GradientDescentConfig, OptimizationOutcome};
 use crate::param::{free_to_matrix, uniform_start};
 use crate::paths::{summarize_with, CountingBackend, GraphSummary, SummaryConfig};
 use fg_graph::{Graph, SeedLabels};
@@ -134,9 +134,20 @@ impl DistantCompatibilityEstimation {
         summary: &GraphSummary,
         start: &[f64],
     ) -> Result<(DenseMatrix, f64)> {
-        let energy = self.energy_from_summary(summary)?;
-        let outcome = minimize(&energy, start, &self.config.optimizer)?;
+        let outcome = self.optimize_from_start(summary, start)?;
         Ok((free_to_matrix(&outcome.x, summary.k)?, outcome.value))
+    }
+
+    /// The optimizer run behind
+    /// [`estimate_from_summary_with_start`](Self::estimate_from_summary_with_start),
+    /// with its work counts.
+    pub(crate) fn optimize_from_start(
+        &self,
+        summary: &GraphSummary,
+        start: &[f64],
+    ) -> Result<OptimizationOutcome> {
+        let energy = self.energy_from_summary(summary)?;
+        minimize(&energy, start, &self.config.optimizer)
     }
 
     /// Run the optimization on a precomputed summary from the uniform starting point.

@@ -11,9 +11,11 @@ use super::dce::{DceConfig, DistantCompatibilityEstimation};
 use super::CompatibilityEstimator;
 use crate::context::EstimationContext;
 use crate::error::{CoreError, Result};
-use crate::param::restart_points;
+use crate::optimize::OptimizationOutcome;
+use crate::param::{free_to_matrix, restart_points};
 use crate::paths::{summarize_with, GraphSummary, SummaryConfig};
 use fg_graph::{Graph, SeedLabels};
+use fg_obs::Span;
 use fg_sparse::{DenseMatrix, Threads};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,7 +63,27 @@ impl DceWithRestarts {
     /// The restart points are drawn once up front and the winner is reduced
     /// serially in restart order with a strict `<` (first of equal energies wins),
     /// so the result is bit-identical to the serial loop at any thread count.
+    ///
+    /// The run is traced as a `dcer` span carrying the optimizer's work, summed over
+    /// the restarts: `restarts`, `iterations`, `evaluations` (line-search probes
+    /// included) and `capped`, the restarts that hit the iteration budget without
+    /// converging.
     pub fn estimate_from_summary(&self, summary: &GraphSummary) -> Result<(DenseMatrix, f64)> {
+        let mut span = Span::enter("dcer");
+        let (best, work) = self.optimize_restarts(summary)?;
+        span.record("restarts", work.restarts as u64);
+        span.record("iterations", work.iterations as u64);
+        span.record("evaluations", work.evaluations as u64);
+        span.record("capped", work.capped as u64);
+        Ok(best)
+    }
+
+    /// [`estimate_from_summary`](Self::estimate_from_summary) with the summed
+    /// optimizer work.
+    fn optimize_restarts(
+        &self,
+        summary: &GraphSummary,
+    ) -> Result<((DenseMatrix, f64), RestartWork)> {
         if self.restarts == 0 {
             return Err(CoreError::InvalidConfig(
                 "restarts must be at least 1".into(),
@@ -70,22 +92,36 @@ impl DceWithRestarts {
         let dce = DistantCompatibilityEstimation::new(self.config.clone());
         let mut rng = StdRng::seed_from_u64(self.seed);
         let starts = restart_points(summary.k, self.restarts, &mut rng);
-        let results: Vec<(DenseMatrix, f64)> =
+        let outcomes: Vec<OptimizationOutcome> =
             fg_sparse::run_ordered_cells(starts.len(), self.config.threads, |i| {
-                dce.estimate_from_summary_with_start(summary, &starts[i])
+                dce.optimize_from_start(summary, &starts[i])
             })?;
-        let mut best: Option<(DenseMatrix, f64)> = None;
-        for (candidate, energy) in results {
-            let replace = match &best {
-                None => true,
-                Some((_, best_energy)) => energy < *best_energy,
-            };
-            if replace {
-                best = Some((candidate, energy));
+        let mut work = RestartWork::default();
+        let mut best: Option<&OptimizationOutcome> = None;
+        for outcome in &outcomes {
+            work.restarts += 1;
+            work.iterations += outcome.iterations;
+            work.evaluations += outcome.evaluations;
+            work.capped += usize::from(!outcome.converged);
+            if best.is_none_or(|b| outcome.value < b.value) {
+                best = Some(outcome);
             }
         }
-        best.ok_or_else(|| CoreError::OptimizationFailed("no restart produced an estimate".into()))
+        let best = best.ok_or_else(|| {
+            CoreError::OptimizationFailed("no restart produced an estimate".into())
+        })?;
+        Ok(((free_to_matrix(&best.x, summary.k)?, best.value), work))
     }
+}
+
+/// Optimizer work of one DCEr run, summed over its restarts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct RestartWork {
+    restarts: usize,
+    iterations: usize,
+    evaluations: usize,
+    /// Restarts that stopped at `max_iterations` without converging.
+    capped: usize,
 }
 
 impl CompatibilityEstimator for DceWithRestarts {
@@ -234,5 +270,53 @@ mod tests {
         let a = est.estimate(&syn.graph, &seeds).unwrap();
         let b = est.estimate(&syn.graph, &seeds).unwrap();
         assert!(a.approx_eq(&b, 1e-12));
+    }
+
+    /// A fixed generated summary whose restarts mostly stop at the iteration cap.
+    fn golden_summary() -> GraphSummary {
+        let cfg = GeneratorConfig::balanced(1500, 10.0, 3, 8.0).unwrap();
+        let mut rng = StdRng::seed_from_u64(2024);
+        let syn = generate(&cfg, &mut rng).unwrap();
+        let seeds = syn.labeling.stratified_sample(0.01, &mut rng);
+        summarize(&syn.graph, &seeds, &DceConfig::default().summary_config()).unwrap()
+    }
+
+    #[test]
+    fn dcer_estimate_bits_are_pinned() {
+        let (h, energy) = DceWithRestarts::default()
+            .estimate_from_summary(&golden_summary())
+            .unwrap();
+        let bits: Vec<u64> = h.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                0x3fc4142145b159df,
+                0x3fe8b1c771d06200,
+                0x3fb24981e61a3c40,
+                0x3fe8b1c771d06200,
+                0x3fa28fc8e5fdecdb,
+                0x3fc894efff3efcc8,
+                0x3fb24981e61a3c40,
+                0x3fc894efff3efcc8,
+                0x3fe79193c36cf946,
+            ]
+        );
+        assert_eq!(energy.to_bits(), 0x3faa5473f1787060);
+    }
+
+    #[test]
+    fn dcer_work_counts_are_pinned() {
+        let (_, work) = DceWithRestarts::default()
+            .optimize_restarts(&golden_summary())
+            .unwrap();
+        assert_eq!(
+            work,
+            RestartWork {
+                restarts: 9,
+                iterations: 3362,
+                evaluations: 6734,
+                capped: 5,
+            }
+        );
     }
 }
