@@ -47,6 +47,25 @@ pub fn gating_mode(cores: usize) -> &'static str {
     }
 }
 
+/// The head every committed `BENCH_*.json` report shares: the bench name, the
+/// measuring host's core count and the [`gating_mode`] derived from it, then the
+/// caller's note for that mode (`[structure, throughput]`), if it has one.
+pub fn report_header(bench: &str, cores: usize, notes: Option<[&str; 2]>) -> String {
+    let gating = gating_mode(cores);
+    let mut out = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"hardware\": {{\"cores\": {cores}}},\n  \"gating\": \"{gating}\",\n"
+    );
+    if let Some([structure, throughput]) = notes {
+        let note = if gating == "structure" {
+            structure
+        } else {
+            throughput
+        };
+        out.push_str(&format!("  \"note\": \"{note}\",\n"));
+    }
+    out
+}
+
 /// Shape of one kernel-bench run.
 #[derive(Debug, Clone)]
 pub struct KernelBenchConfig {
@@ -273,21 +292,15 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> fg_core::Result<KernelReport
 
 /// Render the committed `BENCH_kernels.json` report.
 pub fn render_kernel_report(cfg: &KernelBenchConfig, report: &KernelReport) -> String {
-    let gating = gating_mode(report.cores);
-    let mut out = String::from("{\n  \"bench\": \"kernels\",\n");
-    out.push_str(&format!(
-        "  \"hardware\": {{\"cores\": {}}},\n  \"gating\": \"{}\",\n",
-        report.cores, gating
-    ));
-    out.push_str(&format!(
-        "  \"note\": \"{}\",\n",
-        if gating == "structure" {
+    let mut out = report_header(
+        "kernels",
+        report.cores,
+        Some([
             "measured on a host with fewer than 4 cores: multi-thread timings are \
-             not meaningful, CI gates report structure and the bit-identity oracle only"
-        } else {
-            "measured on a multi-core host: CI additionally enforces speedup floors"
-        }
-    ));
+             not meaningful, CI gates report structure and the bit-identity oracle only",
+            "measured on a multi-core host: CI additionally enforces speedup floors",
+        ]),
+    );
     out.push_str(&format!(
         "  \"config\": {{\"nodes\": {}, \"classes\": {}, \"iters\": {}}},\n",
         cfg.nodes, cfg.classes, cfg.iters

@@ -38,7 +38,7 @@ use fg_graph::{FactorConfig, LowRankFactor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::kernels::{detected_cores, gating_mode};
+use crate::kernels::{detected_cores, report_header};
 use crate::micro::bench_iters;
 use crate::sweeps::{accuracy_vs_rank, RankOutcome};
 
@@ -258,22 +258,16 @@ pub fn run_lowrank_bench(cfg: &LowRankBenchConfig) -> fg_core::Result<LowRankRep
 
 /// Render the committed `BENCH_lowrank.json` report.
 pub fn render_lowrank_report(cfg: &LowRankBenchConfig, report: &LowRankReport) -> String {
-    let gating = gating_mode(report.cores);
-    let mut out = String::from("{\n  \"bench\": \"lowrank\",\n");
-    out.push_str(&format!(
-        "  \"hardware\": {{\"cores\": {}}},\n  \"gating\": \"{}\",\n",
-        report.cores, gating
-    ));
-    out.push_str(&format!(
-        "  \"note\": \"{}\",\n",
-        if gating == "structure" {
+    let mut out = report_header(
+        "lowrank",
+        report.cores,
+        Some([
             "measured on a host with fewer than 4 cores: CI gates report shape, the \
-             full-rank oracle, and accuracy; speedup floors apply on throughput hosts"
-        } else {
+             full-rank oracle, and accuracy; speedup floors apply on throughput hosts",
             "measured on a multi-core host: CI additionally enforces the rank-64 \
-             speedup floor"
-        }
-    ));
+             speedup floor",
+        ]),
+    );
     out.push_str(&format!(
         "  \"config\": {{\"nodes\": {}, \"degree\": {}, \"classes\": {}, \"fraction\": {}, \"max_length\": {}, \"iters\": {}}},\n",
         cfg.nodes, cfg.degree, cfg.classes, cfg.fraction, cfg.max_length, cfg.iters

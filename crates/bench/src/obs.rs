@@ -27,7 +27,7 @@ use fg_obs::{default_latency_buckets, MetricsRegistry, Span};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::kernels::{detected_cores, gating_mode};
+use crate::kernels::{detected_cores, report_header};
 
 /// Hard ceiling on the derived disabled-path overhead, in percent.
 pub const DISABLED_OVERHEAD_LIMIT_PCT: f64 = 2.0;
@@ -230,23 +230,17 @@ pub fn run_obs_bench(cfg: &ObsBenchConfig) -> fg_core::Result<ObsReport> {
 
 /// Render the committed `BENCH_obs.json` report.
 pub fn render_obs_report(cfg: &ObsBenchConfig, report: &ObsReport) -> String {
-    let gating = gating_mode(report.cores);
-    let mut out = String::from("{\n  \"bench\": \"obs\",\n");
-    out.push_str(&format!(
-        "  \"hardware\": {{\"cores\": {}}},\n  \"gating\": \"{}\",\n",
-        report.cores, gating
-    ));
-    out.push_str(&format!(
-        "  \"note\": \"{}\",\n",
-        if gating == "structure" {
+    let mut out = report_header(
+        "obs",
+        report.cores,
+        Some([
             "measured on a host with fewer than 4 cores: the measured traced-vs-untraced \
              delta is noise-prone, CI gates report structure and the derived \
-             disabled-path overhead only"
-        } else {
+             disabled-path overhead only",
             "measured on a multi-core host: CI additionally bounds the measured \
-             traced-vs-untraced delta"
-        }
-    ));
+             traced-vs-untraced delta",
+        ]),
+    );
     out.push_str(&format!(
         "  \"config\": {{\"nodes\": {}, \"classes\": {}, \"iters\": {}, \"primitive_loops\": {}}},\n",
         cfg.nodes, cfg.classes, cfg.iters, cfg.primitive_loops

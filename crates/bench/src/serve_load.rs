@@ -302,13 +302,8 @@ pub fn run_serve_load(cfg: &ServeLoadConfig) -> io::Result<Vec<LoadRow>> {
 /// only meaningful when the host can actually run clients in parallel, so on
 /// sub-4-core hosts the report says `"structure"` and CI skips them.
 pub fn render_report(cfg: &ServeLoadConfig, rows: &[LoadRow]) -> String {
-    let cores = crate::kernels::detected_cores();
-    let mut out = String::from("{\n  \"bench\": \"serve_load\",\n");
-    out.push_str(&format!(
-        "  \"hardware\": {{\"cores\": {}}},\n  \"gating\": \"{}\",\n",
-        cores,
-        crate::kernels::gating_mode(cores)
-    ));
+    let mut out =
+        crate::kernels::report_header("serve_load", crate::kernels::detected_cores(), None);
     out.push_str(&format!(
         "  \"config\": {{\"nodes\": {}, \"classes\": {}, \"requests_per_client\": {}, \"threads\": \"serial\"}},\n",
         cfg.nodes,

@@ -540,11 +540,7 @@ pub fn accuracy_vs_backend(
     // Resolve every backend up front so a typo'd name fails before any work runs.
     let resolved: Vec<_> = backends
         .iter()
-        .map(|name| {
-            registry::by_name(name).ok_or_else(|| {
-                fg_core::CoreError::InvalidConfig(format!("unknown propagation backend '{name}'"))
-            })
-        })
+        .map(|name| registry::by_name(name).map_err(fg_core::CoreError::InvalidConfig))
         .collect::<Result<_>>()?;
     let mut outcomes = Vec::new();
     for (fi, &fraction) in fractions.iter().enumerate() {
@@ -588,11 +584,7 @@ pub fn accuracy_vs_backend_parallel(
     }
     // Resolve every backend name up front so a typo fails before any work runs.
     for name in backends {
-        if registry::canonical_name(name).is_none() {
-            return Err(fg_core::CoreError::InvalidConfig(format!(
-                "unknown propagation backend '{name}'"
-            )));
-        }
+        registry::by_name(name).map_err(fg_core::CoreError::InvalidConfig)?;
     }
     let gold = measure_compatibilities(graph, labeling)?;
     let reps = repetitions.max(1);
@@ -641,7 +633,7 @@ pub fn backends_to_table(
         .map(|b| {
             registry::by_name(b)
                 .map(|p| p.name())
-                .unwrap_or_else(|| b.to_string())
+                .unwrap_or_else(|_| b.to_string())
         })
         .collect();
     let mut headers = vec!["f".to_string()];

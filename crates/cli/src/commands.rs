@@ -15,6 +15,7 @@ use fg_core::estimator_by_name_with;
 use fg_core::estimators::registry as estimator_registry;
 use fg_core::prelude::*;
 use fg_datasets::{synthesize, DatasetId};
+use fg_graph::spec::SpecOptions;
 use fg_propagation::{registry, PropagatorOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,33 +53,17 @@ fn load_graph_and_labels(args: &ArgMap) -> Result<(Graph, SeedLabels, usize), St
 /// output.
 fn build_estimator(args: &ArgMap) -> Result<(Box<dyn CompatibilityEstimator>, String), String> {
     let method = args.get("method").unwrap_or("dcer");
-    let variant = match args.get_parsed::<usize>("variant").map_err(err)? {
-        Some(index) => Some(NormalizationVariant::from_index(index).ok_or_else(|| {
-            format!("option --variant has invalid value '{index}' (expected 1, 2, or 3)")
-        })?),
-        None => None,
-    };
-    let lowrank = match args.get("mode") {
-        Some("lowrank") => Some(true),
-        Some("exact") => Some(false),
-        Some(other) => {
-            return Err(format!(
-                "option --mode has invalid value '{other}' (expected exact or lowrank)"
-            ))
-        }
-        None => None,
-    };
-    let defaults = EstimatorOptions {
-        max_length: args.get_parsed("lmax").map_err(err)?,
-        lambda: args.get_parsed("lambda").map_err(err)?,
-        restarts: args.get_parsed("restarts").map_err(err)?,
-        splits: args.get_parsed("splits").map_err(err)?,
-        variant,
-        non_backtracking: None,
-        lowrank,
-        rank: args.get_parsed("rank").map_err(err)?,
+    let mut defaults = EstimatorOptions {
         threads: args.get_parsed("threads").map_err(err)?,
+        ..EstimatorOptions::default()
     };
+    for flag in [
+        "lmax", "lambda", "restarts", "splits", "variant", "mode", "rank",
+    ] {
+        if let Some(value) = args.get(flag) {
+            defaults.set(flag, value)?;
+        }
+    }
     let estimator = estimator_by_name_with(method, &defaults)?;
     let label = estimator.name();
     Ok((estimator, label))
@@ -86,23 +71,22 @@ fn build_estimator(args: &ArgMap) -> Result<(Box<dyn CompatibilityEstimator>, St
 
 /// Build the propagation backend selected by `option_name` (default `linbp`) through
 /// the propagation registry, applying the generic `--iterations` / `--tolerance` /
-/// `--damping` / `--threads` overrides. `--threads` accepts a worker count, `auto`
+/// `--damping` / `--threads` overrides; keys of a parameterized spec such as
+/// `'linbp(iterations=5)'` take precedence. `--threads` accepts a worker count, `auto`
 /// (one worker per hardware thread), or `serial`; the parallel kernels are
 /// bit-identical to the serial ones, so it never changes the predictions.
 fn build_propagator(args: &ArgMap, option_name: &str) -> Result<Box<dyn Propagator>, String> {
-    let method = args.get(option_name).unwrap_or("linbp").to_string();
-    let opts = PropagatorOptions {
-        max_iterations: args.get_parsed("iterations").map_err(err)?,
-        tolerance: args.get_parsed("tolerance").map_err(err)?,
-        damping: args.get_parsed("damping").map_err(err)?,
+    let method = args.get(option_name).unwrap_or("linbp");
+    let mut opts = PropagatorOptions {
         threads: args.get_parsed("threads").map_err(err)?,
+        ..PropagatorOptions::default()
     };
-    registry::by_name_with(&method, &opts).ok_or_else(|| {
-        format!(
-            "unknown propagation method '{method}' (expected one of {})",
-            registry::propagator_names().join(", ")
-        )
-    })
+    for flag in ["iterations", "tolerance", "damping"] {
+        if let Some(value) = args.get(flag) {
+            opts.set(flag, value)?;
+        }
+    }
+    registry::by_name_with(method, &opts)
 }
 
 /// `fg generate`: create a synthetic planted-compatibility graph and write it as an edge
@@ -285,24 +269,16 @@ fn list_methods() -> String {
     let mut out = vec!["ESTIMATORS (fg estimate/classify --method):".to_string()];
     let defaults = EstimatorOptions::default();
     for spec in estimator_registry::estimator_registry() {
-        let built = (spec.build)(&defaults);
-        let aliases = if spec.aliases.is_empty() {
-            String::new()
-        } else {
-            format!(" (aliases: {})", spec.aliases.join(", "))
-        };
-        out.push(format!("  {:<8} {}{aliases}", spec.name, spec.description));
-        out.push(format!("           defaults: {}", built.name()));
+        out.push(spec.listing());
+        out.push(format!(
+            "           defaults: {}",
+            (spec.build)(&defaults).name()
+        ));
     }
     out.push(String::new());
     out.push("PROPAGATORS (fg propagate --method / classify --propagator):".to_string());
     for spec in registry::registry() {
-        let aliases = if spec.aliases.is_empty() {
-            String::new()
-        } else {
-            format!(" (aliases: {})", spec.aliases.join(", "))
-        };
-        out.push(format!("  {:<8} {}{aliases}", spec.name, spec.description));
+        out.push(spec.listing());
     }
     out.push(String::new());
     out.push(
@@ -2062,5 +2038,69 @@ mod tests {
         for method in ["linbp", "bp", "harmonic", "rw"] {
             assert!(build_propagator(&args(&["--method", method]), "method").is_ok());
         }
+    }
+
+    #[test]
+    fn propagator_specs_and_flags_share_one_grammar() {
+        // Blanks around a name were accepted for --method but not --propagator.
+        assert!(build_propagator(&args(&["--propagator", " linbp"]), "propagator").is_ok());
+        let (_, label) = build_estimator(&args(&["--method", " dcer "])).unwrap();
+        assert_eq!(label, "DCEr(r=10,l=5,lambda=10)");
+        // Non-finite flag values are rejected by name instead of silently disabling
+        // early stopping; damping outside [0, 1) fails loopy BP loudly.
+        let bad = |tokens: &[&str]| {
+            build_propagator(&args(tokens), "method")
+                .map(|_| ())
+                .unwrap_err()
+        };
+        assert!(bad(&["--method", "bp", "--damping", "nan"]).contains("'damping'"));
+        assert!(bad(&["--tolerance", "nan"]).contains("'tolerance'"));
+        assert!(build_estimator(&args(&["--lambda", "inf"]))
+            .map(|_| ())
+            .unwrap_err()
+            .contains("'lambda'"));
+
+        let dir = temp_dir("propagator_specs");
+        let edges = dir.join("edges.tsv");
+        let labels = dir.join("labels.tsv");
+        cmd_generate(&args(&[
+            "--nodes",
+            "300",
+            "--classes",
+            "3",
+            "--seed",
+            "4",
+            "--out-edges",
+            edges.to_str().unwrap(),
+            "--out-labels",
+            labels.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let classify = |extra: &[&str], out: &std::path::Path| {
+            let mut tokens = vec![
+                "--edges",
+                edges.to_str().unwrap(),
+                "--nodes",
+                "300",
+                "--classes",
+                "3",
+                "--labels",
+                labels.to_str().unwrap(),
+                "--out",
+                out.to_str().unwrap(),
+            ];
+            tokens.extend_from_slice(extra);
+            cmd_classify(&args(&tokens))
+        };
+        let (via_spec, via_flag) = (dir.join("spec.tsv"), dir.join("flag.tsv"));
+        classify(&["--propagator", "linbp(iterations=3)"], &via_spec).unwrap();
+        classify(&["--iterations", "3"], &via_flag).unwrap();
+        assert_eq!(
+            std::fs::read(&via_spec).unwrap(),
+            std::fs::read(&via_flag).unwrap()
+        );
+        let err = classify(&["--propagator", "bp", "--damping", "1"], &via_spec).unwrap_err();
+        assert!(err.contains("damping must be in [0, 1)"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -792,12 +792,7 @@ fn execute_run(
         damping: entry_or_default!(run, defaults, f64_value, "damping"),
         threads,
     };
-    let propagator = registry::by_name_with(&propagator_name, &opts).ok_or_else(|| {
-        context(format!(
-            "unknown propagation method '{propagator_name}' (expected one of {})",
-            registry::propagator_names().join(", ")
-        ))
-    })?;
+    let propagator = registry::by_name_with(&propagator_name, &opts).map_err(context)?;
 
     let mut pipeline = Pipeline::on(&data.graph)
         .seeds(&data.seeds)

@@ -6,7 +6,9 @@
 //! renders, e.g. `"DCEr(r=10,l=5,lambda=0.1)"` — so every name an estimator prints
 //! can be parsed back into an equivalent estimator (the round-trip property the
 //! registry tests assert). Generic defaults are supplied through
-//! [`EstimatorOptions`]; keys in the spec string override them.
+//! [`EstimatorOptions`]; keys in the spec string override them. The grammar, the
+//! lookup and the value checks are the shared [`fg_graph::spec`] mechanism; the
+//! key table below is the whole estimator key vocabulary.
 
 use super::{
     CompatibilityEstimator, DceConfig, DceWithRestarts, DistantCompatibilityEstimation,
@@ -14,6 +16,7 @@ use super::{
 };
 use crate::normalization::NormalizationVariant;
 use crate::paths::{CountingBackend, DEFAULT_LOWRANK_RANK};
+use fg_graph::spec::{Entry, Key, Registry, SpecOptions};
 use fg_graph::FactorConfig;
 use fg_sparse::Threads;
 
@@ -64,47 +67,65 @@ impl EstimatorOptions {
 
 /// A registry entry: canonical name, accepted aliases, a one-line description, and a
 /// constructor honoring [`EstimatorOptions`].
-pub struct EstimatorSpec {
-    /// Canonical lowercase name (what [`canonical_estimator_name`] returns).
-    pub name: &'static str,
-    /// Alternative names accepted by [`estimator_by_name`].
-    pub aliases: &'static [&'static str],
-    /// One-line human-readable description for help output.
-    pub description: &'static str,
-    /// Build the estimator with the given option overrides.
-    pub build: fn(&EstimatorOptions) -> Box<dyn CompatibilityEstimator>,
+pub type EstimatorSpec = Entry<EstimatorOptions, dyn CompatibilityEstimator>;
+
+impl SpecOptions for EstimatorOptions {
+    const KIND: &'static str = "estimator";
+    const KEYS: &'static [Key<Self>] = &[
+        Key(&["r", "restarts"], |o, v| {
+            v.parse("count").map(|r| o.restarts = Some(r))
+        }),
+        Key(&["l", "lmax"], |o, v| {
+            v.parse("length").map(|l| o.max_length = Some(l))
+        }),
+        Key(&["lambda"], |o, v| v.finite().map(|x| o.lambda = Some(x))),
+        Key(&["b", "splits"], |o, v| {
+            v.parse("count").map(|b| o.splits = Some(b))
+        }),
+        Key(&["variant"], |o, v| {
+            v.with("variant number (expected 1-3)", |s| {
+                s.parse().ok().and_then(NormalizationVariant::from_index)
+            })
+            .map(|variant| o.variant = Some(variant))
+        }),
+        Key(&["nb"], |o, v| {
+            let table = [("true", true), ("1", true), ("false", false), ("0", false)];
+            v.one_of("flag (expected true or false)", &table)
+                .map(|nb| o.non_backtracking = Some(nb))
+        }),
+        Key(&["mode"], |o, v| {
+            v.one_of(
+                "backend (expected exact or lowrank)",
+                &[("lowrank", true), ("exact", false)],
+            )
+            .map(|lowrank| o.lowrank = Some(lowrank))
+        }),
+        Key(&["rank"], |o, v| {
+            v.parse("rank").map(|rank| o.rank = Some(rank))
+        }),
+    ];
 }
 
 fn dce_config(opts: &EstimatorOptions) -> DceConfig {
-    let mut config = DceConfig::default();
-    if let Some(l) = opts.max_length {
-        config.max_length = l;
+    let d = DceConfig::default();
+    DceConfig {
+        max_length: opts.max_length.unwrap_or(d.max_length),
+        lambda: opts.lambda.unwrap_or(d.lambda),
+        variant: opts.variant.unwrap_or(d.variant),
+        non_backtracking: opts.non_backtracking.unwrap_or(d.non_backtracking),
+        threads: opts.threads.unwrap_or(d.threads),
+        backend: opts.backend(),
+        ..d
     }
-    if let Some(lambda) = opts.lambda {
-        config.lambda = lambda;
-    }
-    if let Some(variant) = opts.variant {
-        config.variant = variant;
-    }
-    if let Some(nb) = opts.non_backtracking {
-        config.non_backtracking = nb;
-    }
-    if let Some(threads) = opts.threads {
-        config.threads = threads;
-    }
-    config.backend = opts.backend();
-    config
 }
 
 fn build_mce(opts: &EstimatorOptions) -> Box<dyn CompatibilityEstimator> {
-    let mut est = MyopicCompatibilityEstimation::default();
-    if let Some(variant) = opts.variant {
-        est.variant = variant;
-    }
-    if let Some(threads) = opts.threads {
-        est.threads = threads;
-    }
-    Box::new(est)
+    let d = MyopicCompatibilityEstimation::default();
+    Box::new(MyopicCompatibilityEstimation {
+        variant: opts.variant.unwrap_or(d.variant),
+        threads: opts.threads.unwrap_or(d.threads),
+        ..d
+    })
 }
 
 fn build_lce(opts: &EstimatorOptions) -> Box<dyn CompatibilityEstimator> {
@@ -120,11 +141,8 @@ fn build_dce(opts: &EstimatorOptions) -> Box<dyn CompatibilityEstimator> {
 }
 
 fn build_dcer(opts: &EstimatorOptions) -> Box<dyn CompatibilityEstimator> {
-    let mut est = DceWithRestarts::new(dce_config(opts), DceWithRestarts::default().restarts);
-    if let Some(r) = opts.restarts {
-        est.restarts = r;
-    }
-    Box::new(est)
+    let restarts = opts.restarts.unwrap_or(DceWithRestarts::default().restarts);
+    Box::new(DceWithRestarts::new(dce_config(opts), restarts))
 }
 
 fn build_holdout(opts: &EstimatorOptions) -> Box<dyn CompatibilityEstimator> {
@@ -135,135 +153,58 @@ fn build_holdout(opts: &EstimatorOptions) -> Box<dyn CompatibilityEstimator> {
     }
 }
 
-const REGISTRY: &[EstimatorSpec] = &[
-    EstimatorSpec {
-        name: "mce",
-        aliases: &["myopic"],
-        description: "Myopic Compatibility Estimation from neighbor statistics (Eq. 12)",
-        build: build_mce,
-    },
-    EstimatorSpec {
-        name: "lce",
-        aliases: &["linear"],
-        description: "Linear Compatibility Estimation from the LinBP energy (Eq. 8)",
-        build: build_lce,
-    },
-    EstimatorSpec {
-        name: "dce",
-        aliases: &["distant"],
-        description: "Distant Compatibility Estimation from length-l path statistics (Eq. 13/14)",
-        build: build_dce,
-    },
-    EstimatorSpec {
-        name: "dcer",
-        aliases: &["dce-r", "dce_r"],
-        description: "DCE with restarts — the paper's recommended method (Section 4.8)",
-        build: build_dcer,
-    },
-    EstimatorSpec {
-        name: "holdout",
-        aliases: &["hold-out"],
-        description: "Holdout baseline: black-box propagation inside a search (Eq. 7)",
-        build: build_holdout,
-    },
-];
+const REGISTRY: Registry<EstimatorOptions, dyn CompatibilityEstimator> = Registry {
+    kind: "estimation",
+    entries: &[
+        EstimatorSpec {
+            name: "mce",
+            aliases: &["myopic"],
+            description: "Myopic Compatibility Estimation from neighbor statistics (Eq. 12)",
+            build: build_mce,
+        },
+        EstimatorSpec {
+            name: "lce",
+            aliases: &["linear"],
+            description: "Linear Compatibility Estimation from the LinBP energy (Eq. 8)",
+            build: build_lce,
+        },
+        EstimatorSpec {
+            name: "dce",
+            aliases: &["distant"],
+            description:
+                "Distant Compatibility Estimation from length-l path statistics (Eq. 13/14)",
+            build: build_dce,
+        },
+        EstimatorSpec {
+            name: "dcer",
+            aliases: &["dce-r", "dce_r"],
+            description: "DCE with restarts — the paper's recommended method (Section 4.8)",
+            build: build_dcer,
+        },
+        EstimatorSpec {
+            name: "holdout",
+            aliases: &["hold-out"],
+            description: "Holdout baseline: black-box propagation inside a search (Eq. 7)",
+            build: build_holdout,
+        },
+    ],
+};
 
 /// All registered estimator specs, in registration order.
 pub fn estimator_registry() -> &'static [EstimatorSpec] {
-    REGISTRY
+    REGISTRY.entries
 }
 
 /// The canonical names of all registered estimators (the values `fg --method`
 /// accepts, with or without a parameter list).
 pub fn estimator_names() -> Vec<&'static str> {
-    REGISTRY.iter().map(|s| s.name).collect()
+    REGISTRY.names()
 }
 
 /// Resolve a (case-insensitive) base name or alias — without any parameter list — to
 /// its canonical estimator name.
 pub fn canonical_estimator_name(name: &str) -> Option<&'static str> {
-    let lowered = name.trim().to_ascii_lowercase();
-    REGISTRY
-        .iter()
-        .find(|s| s.name == lowered || s.aliases.contains(&lowered.as_str()))
-        .map(|s| s.name)
-}
-
-/// Split a spec string into its base name and the overrides encoded in its
-/// parenthesized key/value list.
-fn parse_spec(spec: &str) -> Result<(String, EstimatorOptions), String> {
-    let spec = spec.trim();
-    let (base, args) = match spec.split_once('(') {
-        None => (spec, None),
-        Some((base, rest)) => {
-            let inner = rest.strip_suffix(')').ok_or_else(|| {
-                format!("estimator spec '{spec}' has an unterminated parameter list")
-            })?;
-            (base, Some(inner))
-        }
-    };
-    let mut opts = EstimatorOptions::default();
-    if let Some(args) = args {
-        for pair in args.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = pair.split_once('=').ok_or_else(|| {
-                format!("estimator parameter '{pair}' is not of the form key=value")
-            })?;
-            let key = key.trim().to_ascii_lowercase();
-            let value = value.trim();
-            let bad =
-                |what: &str| format!("estimator parameter '{key}' has invalid {what} '{value}'");
-            match key.as_str() {
-                "r" | "restarts" => opts.restarts = Some(value.parse().map_err(|_| bad("count"))?),
-                "l" | "lmax" => opts.max_length = Some(value.parse().map_err(|_| bad("length"))?),
-                "lambda" => opts.lambda = Some(value.parse().map_err(|_| bad("number"))?),
-                "b" | "splits" => opts.splits = Some(value.parse().map_err(|_| bad("count"))?),
-                "variant" => {
-                    let index: usize = value.parse().map_err(|_| bad("variant number"))?;
-                    opts.variant = Some(
-                        NormalizationVariant::from_index(index)
-                            .ok_or_else(|| bad("variant number (expected 1-3)"))?,
-                    );
-                }
-                "nb" => {
-                    opts.non_backtracking = Some(match value.to_ascii_lowercase().as_str() {
-                        "true" | "1" => true,
-                        "false" | "0" => false,
-                        _ => return Err(bad("flag (expected true or false)")),
-                    });
-                }
-                "mode" => {
-                    opts.lowrank = Some(match value.to_ascii_lowercase().as_str() {
-                        "lowrank" => true,
-                        "exact" => false,
-                        _ => return Err(bad("backend (expected exact or lowrank)")),
-                    });
-                }
-                "rank" => opts.rank = Some(value.parse().map_err(|_| bad("rank"))?),
-                other => {
-                    return Err(format!(
-                        "unknown estimator parameter '{other}' \
-                         (expected r, l, lambda, b, variant, nb, mode, or rank)"
-                    ))
-                }
-            }
-        }
-    }
-    Ok((base.to_string(), opts))
-}
-
-/// Merge spec-string overrides (`overlay`) on top of caller defaults (`base`).
-fn merge(base: &EstimatorOptions, overlay: &EstimatorOptions) -> EstimatorOptions {
-    EstimatorOptions {
-        max_length: overlay.max_length.or(base.max_length),
-        lambda: overlay.lambda.or(base.lambda),
-        restarts: overlay.restarts.or(base.restarts),
-        splits: overlay.splits.or(base.splits),
-        variant: overlay.variant.or(base.variant),
-        non_backtracking: overlay.non_backtracking.or(base.non_backtracking),
-        lowrank: overlay.lowrank.or(base.lowrank),
-        rank: overlay.rank.or(base.rank),
-        threads: overlay.threads.or(base.threads),
-    }
+    REGISTRY.canonical(name)
 }
 
 /// Build an estimator from a name or parameterized spec string (e.g. `"mce"`,
@@ -278,25 +219,13 @@ pub fn estimator_by_name_with(
     spec: &str,
     defaults: &EstimatorOptions,
 ) -> Result<Box<dyn CompatibilityEstimator>, String> {
-    let (base, overrides) = parse_spec(spec)?;
-    let canonical = canonical_estimator_name(&base).ok_or_else(|| {
-        format!(
-            "unknown estimation method '{base}' (expected one of {})",
-            estimator_names().join(", ")
-        )
-    })?;
-    let spec = REGISTRY
-        .iter()
-        .find(|s| s.name == canonical)
-        .expect("canonical name is registered");
-    Ok((spec.build)(&merge(defaults, &overrides)))
+    REGISTRY.build(spec, defaults)
 }
 
 /// Build every registered estimator with default configuration, in registration
 /// order.
 pub fn all_estimators() -> Vec<Box<dyn CompatibilityEstimator>> {
-    let opts = EstimatorOptions::default();
-    REGISTRY.iter().map(|s| (s.build)(&opts)).collect()
+    REGISTRY.build_all()
 }
 
 #[cfg(test)]

@@ -21,8 +21,11 @@
 //!
 //! Builders are addressed by name or by a parameterized spec string in exactly the
 //! format [`GraphBuilder::name`] renders — `Knn(k=10,metric=cosine,weighting=heat,
-//! sym=union)` — mirroring the estimator and propagator registries.
+//! sym=union)` — through the same [`fg_graph::spec`] grammar and registry as the
+//! estimators and propagators; [`ConstructionOptions`]' key table is the whole
+//! builder key vocabulary.
 
+use fg_graph::spec::{Entry, Key, Registry, SpecOptions};
 use fg_graph::{Fingerprint, FingerprintBuilder, Graph, GraphError, Labeling, Result};
 use fg_sparse::{run_ordered_cells, DenseMatrix, Threads};
 use rand::rngs::StdRng;
@@ -530,154 +533,89 @@ pub struct ConstructionOptions {
 
 /// A registry entry: canonical name, accepted aliases, one-line description, and a
 /// constructor honoring [`ConstructionOptions`].
-pub struct ConstructionSpec {
-    /// Canonical lowercase name.
-    pub name: &'static str,
-    /// Alternative names accepted by [`construction_by_name`].
-    pub aliases: &'static [&'static str],
-    /// One-line human-readable description for help output.
-    pub description: &'static str,
-    /// Build the backend with the given option overrides.
-    pub build: fn(&ConstructionOptions) -> Box<dyn GraphBuilder>,
+pub type ConstructionSpec = Entry<ConstructionOptions, dyn GraphBuilder>;
+
+impl SpecOptions for ConstructionOptions {
+    const KIND: &'static str = "construction";
+    const KEYS: &'static [Key<Self>] = &[
+        Key(&["k"], |o, v| v.parse("count").map(|k| o.k = Some(k))),
+        Key(&["metric"], |o, v| {
+            v.text.parse().map(|m| o.metric = Some(m))
+        }),
+        Key(&["weighting", "w"], |o, v| {
+            v.text.parse().map(|w| o.weighting = Some(w))
+        }),
+        Key(&["sym", "symmetrize"], |o, v| {
+            v.text.parse().map(|s| o.symmetrize = Some(s))
+        }),
+        Key(&["sigma"], |o, v| {
+            v.finite().map(|sigma| o.sigma = Some(sigma))
+        }),
+        Key(&["alpha"], |o, v| {
+            v.finite().map(|alpha| o.alpha = Some(alpha))
+        }),
+        Key(&["iters", "iterations"], |o, v| {
+            v.parse("count").map(|it| o.iterations = Some(it))
+        }),
+    ];
 }
 
 fn build_knn(opts: &ConstructionOptions) -> Box<dyn GraphBuilder> {
-    let mut builder = KnnBuilder::default();
-    if let Some(k) = opts.k {
-        builder.k = k;
-    }
-    if let Some(metric) = opts.metric {
-        builder.metric = metric;
-    }
-    if let Some(weighting) = opts.weighting {
-        builder.weighting = weighting;
-    }
-    if let Some(symmetrize) = opts.symmetrize {
-        builder.symmetrize = symmetrize;
-    }
-    if opts.sigma.is_some() {
-        builder.sigma = opts.sigma;
-    }
-    if let Some(threads) = opts.threads {
-        builder.threads = threads;
-    }
-    Box::new(builder)
+    let d = KnnBuilder::default();
+    Box::new(KnnBuilder {
+        k: opts.k.unwrap_or(d.k),
+        metric: opts.metric.unwrap_or(d.metric),
+        weighting: opts.weighting.unwrap_or(d.weighting),
+        symmetrize: opts.symmetrize.unwrap_or(d.symmetrize),
+        sigma: opts.sigma.or(d.sigma),
+        threads: opts.threads.unwrap_or(d.threads),
+    })
 }
 
 fn build_sparse_reg(opts: &ConstructionOptions) -> Box<dyn GraphBuilder> {
-    let mut builder = SparseRegBuilder::default();
-    if let Some(k) = opts.k {
-        builder.k = k;
-    }
-    if let Some(alpha) = opts.alpha {
-        builder.alpha = alpha;
-    }
-    if let Some(iterations) = opts.iterations {
-        builder.iterations = iterations;
-    }
-    if let Some(symmetrize) = opts.symmetrize {
-        builder.symmetrize = symmetrize;
-    }
-    if let Some(threads) = opts.threads {
-        builder.threads = threads;
-    }
-    Box::new(builder)
+    let d = SparseRegBuilder::default();
+    Box::new(SparseRegBuilder {
+        k: opts.k.unwrap_or(d.k),
+        alpha: opts.alpha.unwrap_or(d.alpha),
+        iterations: opts.iterations.unwrap_or(d.iterations),
+        symmetrize: opts.symmetrize.unwrap_or(d.symmetrize),
+        threads: opts.threads.unwrap_or(d.threads),
+    })
 }
 
-const REGISTRY: &[ConstructionSpec] = &[
-    ConstructionSpec {
-        name: "knn",
-        aliases: &["k-nn", "nearest"],
-        description: "Exact brute-force kNN graph (euclidean/cosine; binary/heat/inverse weights)",
-        build: build_knn,
-    },
-    ConstructionSpec {
-        name: "sparsereg",
-        aliases: &["sparse-reg", "sparse", "l1"],
-        description: "Sparse-regularized graph: nonnegative l1 reconstruction per node",
-        build: build_sparse_reg,
-    },
-];
+const REGISTRY: Registry<ConstructionOptions, dyn GraphBuilder> = Registry {
+    kind: "construction",
+    entries: &[
+        ConstructionSpec {
+            name: "knn",
+            aliases: &["k-nn", "nearest"],
+            description:
+                "Exact brute-force kNN graph (euclidean/cosine; binary/heat/inverse weights)",
+            build: build_knn,
+        },
+        ConstructionSpec {
+            name: "sparsereg",
+            aliases: &["sparse-reg", "sparse", "l1"],
+            description: "Sparse-regularized graph: nonnegative l1 reconstruction per node",
+            build: build_sparse_reg,
+        },
+    ],
+};
 
 /// All registered construction specs, in registration order.
 pub fn construction_registry() -> &'static [ConstructionSpec] {
-    REGISTRY
+    REGISTRY.entries
 }
 
 /// The canonical names of all registered construction backends.
 pub fn construction_names() -> Vec<&'static str> {
-    REGISTRY.iter().map(|s| s.name).collect()
+    REGISTRY.names()
 }
 
 /// Resolve a (case-insensitive) base name or alias — without any parameter list —
 /// to its canonical construction name.
 pub fn canonical_construction_name(name: &str) -> Option<&'static str> {
-    let lowered = name.trim().to_ascii_lowercase();
-    REGISTRY
-        .iter()
-        .find(|s| s.name == lowered || s.aliases.contains(&lowered.as_str()))
-        .map(|s| s.name)
-}
-
-/// Split a spec string into its base name and the overrides encoded in its
-/// parenthesized key/value list.
-fn parse_spec(spec: &str) -> std::result::Result<(String, ConstructionOptions), String> {
-    let spec = spec.trim();
-    let (base, args) = match spec.split_once('(') {
-        None => (spec, None),
-        Some((base, rest)) => {
-            let inner = rest.strip_suffix(')').ok_or_else(|| {
-                format!("construction spec '{spec}' has an unterminated parameter list")
-            })?;
-            (base, Some(inner))
-        }
-    };
-    let mut opts = ConstructionOptions::default();
-    if let Some(args) = args {
-        for pair in args.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = pair.split_once('=').ok_or_else(|| {
-                format!("construction parameter '{pair}' is not of the form key=value")
-            })?;
-            let key = key.trim().to_ascii_lowercase();
-            let value = value.trim();
-            let bad =
-                |what: &str| format!("construction parameter '{key}' has invalid {what} '{value}'");
-            match key.as_str() {
-                "k" => opts.k = Some(value.parse().map_err(|_| bad("count"))?),
-                "metric" => opts.metric = Some(value.parse().map_err(|e: String| e)?),
-                "weighting" | "w" => opts.weighting = Some(value.parse().map_err(|e: String| e)?),
-                "sym" | "symmetrize" => {
-                    opts.symmetrize = Some(value.parse().map_err(|e: String| e)?)
-                }
-                "sigma" => opts.sigma = Some(value.parse().map_err(|_| bad("number"))?),
-                "alpha" => opts.alpha = Some(value.parse().map_err(|_| bad("number"))?),
-                "iters" | "iterations" => {
-                    opts.iterations = Some(value.parse().map_err(|_| bad("count"))?)
-                }
-                other => {
-                    return Err(format!(
-                        "unknown construction parameter '{other}' \
-                         (expected k, metric, weighting, sym, sigma, alpha, or iters)"
-                    ))
-                }
-            }
-        }
-    }
-    Ok((base.to_string(), opts))
-}
-
-/// Merge spec-string overrides (`overlay`) on top of caller defaults (`base`).
-fn merge(base: &ConstructionOptions, overlay: &ConstructionOptions) -> ConstructionOptions {
-    ConstructionOptions {
-        k: overlay.k.or(base.k),
-        metric: overlay.metric.or(base.metric),
-        weighting: overlay.weighting.or(base.weighting),
-        symmetrize: overlay.symmetrize.or(base.symmetrize),
-        sigma: overlay.sigma.or(base.sigma),
-        alpha: overlay.alpha.or(base.alpha),
-        iterations: overlay.iterations.or(base.iterations),
-        threads: overlay.threads.or(base.threads),
-    }
+    REGISTRY.canonical(name)
 }
 
 /// Build a construction backend from a name or parameterized spec string (e.g.
@@ -692,18 +630,7 @@ pub fn construction_by_name_with(
     spec: &str,
     defaults: &ConstructionOptions,
 ) -> std::result::Result<Box<dyn GraphBuilder>, String> {
-    let (base, overrides) = parse_spec(spec)?;
-    let canonical = canonical_construction_name(&base).ok_or_else(|| {
-        format!(
-            "unknown construction method '{base}' (expected one of {})",
-            construction_names().join(", ")
-        )
-    })?;
-    let spec = REGISTRY
-        .iter()
-        .find(|s| s.name == canonical)
-        .expect("canonical name is registered");
-    Ok((spec.build)(&merge(defaults, &overrides)))
+    REGISTRY.build(spec, defaults)
 }
 
 /// Configuration for [`synthesize_blobs`]: isotropic Gaussian clusters, one per

@@ -18,6 +18,8 @@
 //! * [`LowRankFactor`] — a rank-`r` spectral factorization `W ≈ V·Λ·Vᵀ` of the
 //!   adjacency (plus the projected degree correction) powering the low-rank
 //!   counting backend, fingerprinted by `(graph, rank, solver params)`.
+//! * [`spec`] — the one `Name(key=value,…)` grammar and by-name registry behind
+//!   the estimator, propagator and graph-builder registries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +32,7 @@ pub mod generator;
 pub mod graph;
 pub mod labels;
 pub mod lowrank;
+pub mod spec;
 
 pub use compatibility::{two_value_heuristic, CompatibilityMatrix};
 pub use degree::DegreeDistribution;

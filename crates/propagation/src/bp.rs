@@ -84,6 +84,14 @@ pub fn propagate_bp(
             k
         )));
     }
+    // NaN damping would poison every message delta, and `f64::max` drops NaNs, so
+    // the run would report convergence after one iteration; damping 1 freezes them.
+    if !(0.0..1.0).contains(&config.damping) {
+        return Err(GraphError::InvalidGeneratorConfig(format!(
+            "damping must be in [0, 1), got {}",
+            config.damping
+        )));
+    }
 
     // Node priors.
     let uniform = 1.0 / k as f64;
@@ -317,6 +325,23 @@ mod tests {
         let seeds = SeedLabels::new(vec![None; 8], 2).unwrap();
         let bad_h = DenseMatrix::zeros(3, 3);
         assert!(propagate_bp(&graph, &seeds, &bad_h, &BpConfig::default()).is_err());
+    }
+
+    #[test]
+    fn bp_rejects_damping_outside_the_unit_interval() {
+        let (graph, _, seeds) = bipartite();
+        let h = CompatibilityMatrix::uniform(2).unwrap().into_dense();
+        for damping in [f64::NAN, 1.0, -0.1, f64::INFINITY] {
+            let config = BpConfig {
+                damping,
+                ..BpConfig::default()
+            };
+            let err = propagate_bp(&graph, &seeds, &h, &config).unwrap_err();
+            assert!(
+                err.to_string().contains("damping must be in [0, 1)"),
+                "{damping}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -3,13 +3,17 @@
 //! Every [`Propagator`] implementation registers a canonical name plus aliases, and a
 //! constructor that accepts generic [`PropagatorOptions`] overrides, so callers can
 //! build `fg propagate --method bp --iterations 30` style invocations without knowing
-//! the concrete config types.
+//! the concrete config types. Backends are addressed through the shared
+//! [`fg_graph::spec`] grammar, so `"linbp(iterations=30)"` builds exactly what
+//! `linbp` with `--iterations 30` builds; [`PropagatorOptions`]' key table is the
+//! whole propagator key vocabulary.
 
 use crate::bp::BpConfig;
 use crate::harmonic::HarmonicConfig;
 use crate::linbp::LinBpConfig;
 use crate::propagator::{Harmonic, LinBp, LoopyBp, Propagator, RandomWalk};
 use crate::random_walk::RandomWalkConfig;
+use fg_graph::spec::{Entry, Key, Registry, SpecOptions};
 use fg_sparse::Threads;
 
 /// Backend-agnostic configuration overrides understood by every registered backend.
@@ -30,144 +34,122 @@ pub struct PropagatorOptions {
 
 /// A registry entry: canonical name, accepted aliases, a one-line description, and a
 /// constructor honoring [`PropagatorOptions`].
-pub struct PropagatorSpec {
-    /// Canonical lowercase name (what [`canonical_name`] returns).
-    pub name: &'static str,
-    /// Alternative names accepted by [`by_name`].
-    pub aliases: &'static [&'static str],
-    /// One-line human-readable description for help output.
-    pub description: &'static str,
-    /// Build the backend with the given option overrides.
-    pub build: fn(&PropagatorOptions) -> Box<dyn Propagator>,
+pub type PropagatorSpec = Entry<PropagatorOptions, dyn Propagator>;
+
+impl SpecOptions for PropagatorOptions {
+    const KIND: &'static str = "propagator";
+    const KEYS: &'static [Key<Self>] = &[
+        Key(&["iterations"], |o, v| {
+            v.parse("count").map(|it| o.max_iterations = Some(it))
+        }),
+        Key(&["tolerance"], |o, v| {
+            v.finite().map(|tol| o.tolerance = Some(tol))
+        }),
+        Key(&["damping"], |o, v| v.finite().map(|d| o.damping = Some(d))),
+    ];
 }
 
 fn build_linbp(opts: &PropagatorOptions) -> Box<dyn Propagator> {
-    let mut config = LinBpConfig::default();
-    if let Some(it) = opts.max_iterations {
-        config.max_iterations = it;
-    }
-    if let Some(tol) = opts.tolerance {
-        config.tolerance = Some(tol);
-    }
-    if let Some(threads) = opts.threads {
-        config.threads = threads;
-    }
-    Box::new(LinBp::new(config))
+    let d = LinBpConfig::default();
+    Box::new(LinBp::new(LinBpConfig {
+        max_iterations: opts.max_iterations.unwrap_or(d.max_iterations),
+        tolerance: opts.tolerance.or(d.tolerance),
+        threads: opts.threads.unwrap_or(d.threads),
+        ..d
+    }))
 }
 
 fn build_bp(opts: &PropagatorOptions) -> Box<dyn Propagator> {
-    let mut config = BpConfig::default();
-    if let Some(it) = opts.max_iterations {
-        config.max_iterations = it;
-    }
-    if let Some(tol) = opts.tolerance {
-        config.tolerance = tol;
-    }
-    if let Some(d) = opts.damping {
-        config.damping = d;
-    }
-    if let Some(threads) = opts.threads {
-        config.threads = threads;
-    }
-    Box::new(LoopyBp::new(config))
+    let d = BpConfig::default();
+    Box::new(LoopyBp::new(BpConfig {
+        max_iterations: opts.max_iterations.unwrap_or(d.max_iterations),
+        tolerance: opts.tolerance.unwrap_or(d.tolerance),
+        damping: opts.damping.unwrap_or(d.damping),
+        threads: opts.threads.unwrap_or(d.threads),
+        ..d
+    }))
 }
 
 fn build_harmonic(opts: &PropagatorOptions) -> Box<dyn Propagator> {
-    let mut config = HarmonicConfig::default();
-    if let Some(it) = opts.max_iterations {
-        config.max_iterations = it;
-    }
-    if let Some(tol) = opts.tolerance {
-        config.tolerance = tol;
-    }
-    if let Some(threads) = opts.threads {
-        config.threads = threads;
-    }
-    Box::new(Harmonic::new(config))
+    let d = HarmonicConfig::default();
+    Box::new(Harmonic::new(HarmonicConfig {
+        max_iterations: opts.max_iterations.unwrap_or(d.max_iterations),
+        tolerance: opts.tolerance.unwrap_or(d.tolerance),
+        threads: opts.threads.unwrap_or(d.threads),
+    }))
 }
 
 fn build_rw(opts: &PropagatorOptions) -> Box<dyn Propagator> {
-    let mut config = RandomWalkConfig::default();
-    if let Some(it) = opts.max_iterations {
-        config.max_iterations = it;
-    }
-    if let Some(tol) = opts.tolerance {
-        config.tolerance = tol;
-    }
-    if let Some(d) = opts.damping {
-        config.damping = d;
-    }
-    if let Some(threads) = opts.threads {
-        config.threads = threads;
-    }
-    Box::new(RandomWalk::new(config))
+    let d = RandomWalkConfig::default();
+    Box::new(RandomWalk::new(RandomWalkConfig {
+        max_iterations: opts.max_iterations.unwrap_or(d.max_iterations),
+        tolerance: opts.tolerance.unwrap_or(d.tolerance),
+        damping: opts.damping.unwrap_or(d.damping),
+        threads: opts.threads.unwrap_or(d.threads),
+    }))
 }
 
-const REGISTRY: &[PropagatorSpec] = &[
-    PropagatorSpec {
-        name: "linbp",
-        aliases: &["linearized-bp", "linearized_bp"],
-        description: "Linearized Belief Propagation (the paper's method; uses H)",
-        build: build_linbp,
-    },
-    PropagatorSpec {
-        name: "bp",
-        aliases: &["loopybp", "loopy-bp", "loopy_bp"],
-        description: "Full loopy Belief Propagation (reference method; uses H)",
-        build: build_bp,
-    },
-    PropagatorSpec {
-        name: "harmonic",
-        aliases: &["harmonic-functions", "homophily"],
-        description: "Harmonic-functions label propagation (homophily baseline; ignores H)",
-        build: build_harmonic,
-    },
-    PropagatorSpec {
-        name: "rw",
-        aliases: &["randomwalk", "random-walk", "random_walk", "mrw"],
-        description: "MultiRankWalk random walks with restarts (homophily baseline; ignores H)",
-        build: build_rw,
-    },
-];
+const REGISTRY: Registry<PropagatorOptions, dyn Propagator> = Registry {
+    kind: "propagation",
+    entries: &[
+        PropagatorSpec {
+            name: "linbp",
+            aliases: &["linearized-bp", "linearized_bp"],
+            description: "Linearized Belief Propagation (the paper's method; uses H)",
+            build: build_linbp,
+        },
+        PropagatorSpec {
+            name: "bp",
+            aliases: &["loopybp", "loopy-bp", "loopy_bp"],
+            description: "Full loopy Belief Propagation (reference method; uses H)",
+            build: build_bp,
+        },
+        PropagatorSpec {
+            name: "harmonic",
+            aliases: &["harmonic-functions", "homophily"],
+            description: "Harmonic-functions label propagation (homophily baseline; ignores H)",
+            build: build_harmonic,
+        },
+        PropagatorSpec {
+            name: "rw",
+            aliases: &["randomwalk", "random-walk", "random_walk", "mrw"],
+            description: "MultiRankWalk random walks with restarts (homophily baseline; ignores H)",
+            build: build_rw,
+        },
+    ],
+};
 
 /// All registered backend specs, in registration order.
 pub fn registry() -> &'static [PropagatorSpec] {
-    REGISTRY
+    REGISTRY.entries
 }
 
 /// The canonical names of all registered backends (the values `fg propagate --method`
 /// accepts).
 pub fn propagator_names() -> Vec<&'static str> {
-    REGISTRY.iter().map(|s| s.name).collect()
+    REGISTRY.names()
 }
 
 /// Resolve a (case-insensitive) name or alias to its canonical backend name.
 pub fn canonical_name(name: &str) -> Option<&'static str> {
-    let lowered = name.to_ascii_lowercase();
-    REGISTRY
-        .iter()
-        .find(|s| s.name == lowered || s.aliases.contains(&lowered.as_str()))
-        .map(|s| s.name)
+    REGISTRY.canonical(name)
 }
 
-/// Build a backend by name or alias with default configuration.
-pub fn by_name(name: &str) -> Option<Box<dyn Propagator>> {
-    by_name_with(name, &PropagatorOptions::default())
+/// Build a backend from a name or parameterized spec (`"linbp(iterations=3)"`)
+/// with default configuration.
+pub fn by_name(spec: &str) -> Result<Box<dyn Propagator>, String> {
+    by_name_with(spec, &PropagatorOptions::default())
 }
 
-/// Build a backend by name or alias, applying the given option overrides.
-pub fn by_name_with(name: &str, opts: &PropagatorOptions) -> Option<Box<dyn Propagator>> {
-    let canonical = canonical_name(name)?;
-    REGISTRY
-        .iter()
-        .find(|s| s.name == canonical)
-        .map(|s| (s.build)(opts))
+/// Build a backend from a name or parameterized spec, applying the given option
+/// defaults; keys in the spec take precedence.
+pub fn by_name_with(spec: &str, opts: &PropagatorOptions) -> Result<Box<dyn Propagator>, String> {
+    REGISTRY.build(spec, opts)
 }
 
 /// Build every registered backend with default configuration, in registration order.
 pub fn all_propagators() -> Vec<Box<dyn Propagator>> {
-    let opts = PropagatorOptions::default();
-    REGISTRY.iter().map(|s| (s.build)(&opts)).collect()
+    REGISTRY.build_all()
 }
 
 #[cfg(test)]
@@ -190,7 +172,7 @@ mod tests {
             let p = by_name(name).unwrap();
             assert!(!p.name().is_empty());
         }
-        assert!(by_name("unknown").is_none());
+        assert!(by_name("unknown").is_err());
         assert_eq!(propagator_names().len(), 4);
     }
 

@@ -61,6 +61,7 @@ use crate::json::Json;
 use fg_core::incremental::{validate_mutations, DeltaSummary, SeedMutation};
 use fg_core::prelude::*;
 use fg_core::{estimator_by_name_with, EstimatorOptions, SummaryStore};
+use fg_graph::spec::SpecOptions;
 use fg_graph::Fingerprint;
 use fg_obs::{default_latency_buckets, MetricsRegistry};
 use fg_propagation::registry as propagation_registry;
@@ -937,13 +938,7 @@ impl Session {
             damping: optional_f64(request, "damping")?,
             threads: Some(self.threads),
         };
-        let propagator =
-            propagation_registry::by_name_with(propagator_name, &opts).ok_or_else(|| {
-                format!(
-                    "unknown propagation method '{propagator_name}' (expected one of {})",
-                    propagation_registry::propagator_names().join(", ")
-                )
-            })?;
+        let propagator = propagation_registry::by_name_with(propagator_name, &opts)?;
         let estimator = if propagator.uses_compatibilities() {
             Some(build_estimator(request, self.threads)?)
         } else {
@@ -1184,24 +1179,18 @@ fn build_estimator(
         .get("method")
         .and_then(Json::as_str)
         .unwrap_or("dcer");
-    let variant = match optional_usize(request, "variant")? {
-        Some(index) => Some(
-            NormalizationVariant::from_index(index)
-                .ok_or_else(|| format!("variant {index} is not one of 1, 2, 3"))?,
-        ),
-        None => None,
-    };
-    let defaults = EstimatorOptions {
+    let mut defaults = EstimatorOptions {
         max_length: optional_usize(request, "lmax")?,
         lambda: optional_f64(request, "lambda")?,
         restarts: optional_usize(request, "restarts")?,
         splits: optional_usize(request, "splits")?,
-        variant,
-        non_backtracking: None,
-        lowrank: None,
         rank: optional_usize(request, "rank")?,
         threads: Some(threads),
+        ..EstimatorOptions::default()
     };
+    if let Some(index) = optional_usize(request, "variant")? {
+        defaults.set("variant", &index.to_string())?;
+    }
     estimator_by_name_with(method, &defaults)
 }
 
